@@ -738,8 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--window",
         type=float,
-        default=5.0,
-        help="request-coalescing window in milliseconds (default 5)",
+        default=0.0,
+        help="extra milliseconds to gather a batch after taking every queued "
+        "request (default 0: dispatch as soon as the queue is empty)",
     )
     p_serve.add_argument(
         "--max-batch",

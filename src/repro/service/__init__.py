@@ -3,9 +3,9 @@
 A long-running daemon (``repro serve``) keeps one warm
 :class:`~repro.runtime.cache.ConstructionCache` and the cached graph arrays
 resident and answers embed/measure/simulate queries over HTTP.  The key
-mechanism is the **async request coalescer**: concurrent requests are
-collected over a short window, grouped by ``(guest kind+shape, host
-kind+shape)`` signature, stacked into the batched survey layer's
+mechanism is the **async request coalescer**: the requests that queue
+while the evaluator is busy form the next batch, grouped by ``(guest
+kind+shape, host kind+shape)`` signature, stacked into the batched survey layer's
 ``(batch, size)`` matrices and answered by one fused kernel pass — with
 responses byte-identical to the per-request reference path.
 
@@ -14,7 +14,7 @@ responses byte-identical to the per-request reference path.
     and its lossless conversion to survey scenarios.
 ``coalescer``
     :class:`~repro.service.coalescer.RequestCoalescer` — the asyncio
-    window/batch collector with a serialized evaluation thread.
+    batch collector with a serialized evaluation thread.
 ``server``
     :class:`~repro.service.server.ReproService` (the resident evaluator,
     periodic atomic cache snapshots, ``/stats`` counters) and the stdlib

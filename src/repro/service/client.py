@@ -92,6 +92,8 @@ class ServiceClient:
     ) -> Dict:
         """One attempt on the persistent connection; raises on any failure."""
         if self._connection is None:
+            # HTTPConnection.connect() sets TCP_NODELAY itself (Python 3.5+),
+            # so the request's header and body writes never wait on an ACK.
             self._connection = http.client.HTTPConnection(
                 self.host, self.port, timeout=self.timeout
             )

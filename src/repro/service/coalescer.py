@@ -6,15 +6,15 @@ is the gathering.  :class:`RequestCoalescer` runs a private asyncio event
 loop on a background thread and turns a stream of individually submitted
 requests into evaluation batches:
 
-* the first request of a batch opens a *collection window* (a few
-  milliseconds); every request arriving inside the window — or until
-  ``max_batch`` is reached — joins the batch;
+* the first request of a batch takes every request already queued behind
+  it (up to ``max_batch``), then waits out what is left of an optional
+  *collection window* (default 0: dispatch as soon as the queue is empty);
 * the batch is handed to a single-threaded evaluation executor (the
   evaluator owns shared mutable state — the resident construction cache —
   so evaluation is deliberately serialized);
-* while a batch evaluates, the collector is already gathering the next one,
-  so under sustained load batch sizes grow with throughput instead of the
-  window length — natural backpressure, no tuning.
+* the collector awaits each evaluation, so whatever queues while a batch
+  evaluates becomes the next batch: under sustained load batch sizes grow
+  with throughput, with no window — natural backpressure, no tuning.
 
 Submission is thread-safe (``submit`` is called from HTTP handler threads)
 and returns a ``concurrent.futures.Future`` that resolves to whatever the
@@ -52,7 +52,7 @@ class _Pending:
 
 
 class RequestCoalescer:
-    """Collect requests over a short window and evaluate them as one batch.
+    """Collect queued requests and evaluate them as one batch.
 
     Parameters
     ----------
@@ -63,7 +63,8 @@ class RequestCoalescer:
         future of the batch.
     window:
         Seconds the collector keeps gathering after the first request of a
-        batch arrives.
+        batch arrives, once it has taken everything already queued.  The
+        default 0 dispatches as soon as the queue is empty.
     max_batch:
         Hard batch-size cap; a full batch dispatches before the window ends.
     """
@@ -72,7 +73,7 @@ class RequestCoalescer:
         self,
         evaluate_batch: Callable[[Sequence[object]], Sequence[object]],
         *,
-        window: float = 0.005,
+        window: float = 0.0,
         max_batch: int = 256,
     ):
         if window < 0:
@@ -125,6 +126,13 @@ class RequestCoalescer:
             batch: List[_Pending] = [first]
             deadline = loop.time() + self.window
             while len(batch) < self.max_batch:
+                # Take what is already queued before waiting: with window 0
+                # this is the whole batch.
+                try:
+                    batch.append(self._queue.get_nowait())
+                    continue
+                except asyncio.QueueEmpty:
+                    pass
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     break

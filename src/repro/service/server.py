@@ -5,8 +5,9 @@
 :class:`~repro.runtime.cache.ConstructionCache`, cached graph arrays,
 batched evaluation on — for the whole process lifetime, and answers
 requests through the async coalescer (:mod:`repro.service.coalescer`):
-requests collected over a window are converted to survey scenarios and
-evaluated by :func:`repro.survey.runner.evaluate_shard`, i.e. grouped by
+the requests queued when the evaluator is free form one batch, converted
+to survey scenarios and evaluated by
+:func:`repro.survey.runner.evaluate_shard`, i.e. grouped by
 ``(guest kind+shape, host kind+shape)`` signature, stacked into
 ``(batch, size)`` matrices and answered by one
 ``stacked_dilation_summary``/stacked-congestion/vectorized-event-loop pass.
@@ -25,7 +26,11 @@ daemon restarts warm.
 
 The HTTP front end is deliberately stdlib-only
 (:class:`http.server.ThreadingHTTPServer`): handler threads block on the
-coalescer future while the event loop gathers their batch.
+coalescer future while the event loop gathers their batch.  Accepted
+sockets set ``TCP_NODELAY``: a response goes out as two writes (headers,
+then body), and with Nagle's algorithm (RFC 896) the body waits for the
+ACK of the headers, which the keep-alive peer delays by up to ~40 ms
+(RFC 1122 delayed ACK) — an idle stall on every warm request.
 
 Failure plane (PR 10): requests carry a per-request deadline
 (:class:`ServiceTimeoutError` → HTTP 504), admission is bounded —
@@ -163,7 +168,9 @@ class ReproService:
         from (and snapshot it back to).  With neither, a fresh in-memory
         cache lives for the service lifetime.
     window / max_batch:
-        Coalescing knobs, forwarded to :class:`RequestCoalescer`.
+        Coalescing knobs, forwarded to :class:`RequestCoalescer`.  The
+        default window 0 dispatches whatever is queued as soon as the
+        evaluator is free; batches still grow with load.
     snapshot_interval:
         Minimum seconds between periodic cache snapshots (``cache_path``
         only); ``0`` snapshots after every batch.
@@ -190,7 +197,7 @@ class ReproService:
         backend: str = "auto",
         cache: Optional[ConstructionCache] = None,
         cache_path: Optional[str] = None,
-        window: float = 0.005,
+        window: float = 0.0,
         max_batch: int = 256,
         snapshot_interval: float = 30.0,
         max_pending: int = 1024,
@@ -463,6 +470,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 class _RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on each accepted socket (see the module docstring).
+    disable_nagle_algorithm = True
     server: ServiceHTTPServer
 
     # The daemon logs through /stats, not per-request stderr lines.

@@ -6,9 +6,12 @@ reference (:func:`repro.survey.runner.evaluate_scenario`) produces for the
 same scenario — ``elapsed_seconds`` timing aside, the repo-wide convention.
 """
 
+import socket
+import statistics
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ from repro.service import (
     parse_graph_spec,
     serve,
 )
+from repro.service.server import _RequestHandler
 from repro.survey.runner import SurveyOptions, evaluate_scenario
 
 pytestmark = pytest.mark.smoke
@@ -138,6 +142,26 @@ class TestCoalescer:
                 future.result(timeout=10)
         assert sizes[0] == 3  # dispatched at the cap, not after the window
 
+    def test_window_zero_batches_what_queued_during_an_evaluation(self):
+        sizes = []
+        entered, release = threading.Event(), threading.Event()
+
+        def evaluate(batch):
+            sizes.append(len(batch))
+            entered.set()
+            release.wait(10)
+            return list(batch)
+
+        with RequestCoalescer(evaluate, window=0) as coalescer:
+            first = coalescer.submit(0)
+            assert entered.wait(10)
+            queued = [coalescer.submit(index) for index in range(1, 6)]
+            release.set()
+            results = [future.result(timeout=10) for future in [first, *queued]]
+        assert results == [0, 1, 2, 3, 4, 5]
+        # Everything submitted while the evaluator was busy went out together.
+        assert sizes == [1, 5]
+
     def test_evaluator_exception_fails_the_batch_futures(self):
         def evaluate(batch):
             raise RuntimeError("kernel exploded")
@@ -230,22 +254,30 @@ class TestCacheSnapshots:
         assert ConstructionCache.load(path).construction_count >= 1
 
 
-@pytest.fixture(scope="class")
-def http_service():
-    service = ReproService(window=0.02)
+@contextmanager
+def served(service, handler=None):
+    """Serve ``service`` on an ephemeral port; yields its base URL."""
     server = serve(service, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    if handler is not None:
+        server.RequestHandlerClass = handler
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}", timeout=30.0)
-    client.wait_until_ready()
     try:
-        yield service, client, f"http://{host}:{port}"
+        yield f"http://{host}:{port}"
     finally:
-        client.close()
         server.shutdown()
         server.server_close()
-        service.close()
+
+
+@pytest.fixture(scope="class")
+def http_service():
+    with ReproService(window=0.02) as service, served(service) as url:
+        client = ServiceClient(url, timeout=30.0)
+        client.wait_until_ready()
+        try:
+            yield service, client, url
+        finally:
+            client.close()
 
 
 class TestHTTPEndToEnd:
@@ -315,6 +347,39 @@ class TestHTTPEndToEnd:
         client = ServiceClient("http://127.0.0.1:1", timeout=0.5)
         with pytest.raises(OSError):
             client.embed("torus:4,6", "mesh:4,6")
+
+
+class TestTransport:
+    """Warm keep-alive requests must not wait on a delayed ACK (~40 ms)."""
+
+    def test_both_ends_set_tcp_nodelay(self):
+        accepted = []
+
+        class Recording(_RequestHandler):
+            def setup(self):
+                super().setup()
+                accepted.append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+
+        with ReproService() as service, served(service, Recording) as url:
+            with ServiceClient(url, timeout=30.0) as client:
+                assert client.health()["ok"]
+                sock = client._connection.sock
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        assert accepted and all(accepted)
+
+    def test_warm_sequential_requests_beat_the_delayed_ack_floor(self):
+        with ReproService() as service, served(service) as url:
+            with ServiceClient(url, timeout=30.0) as client:
+                client.embed("torus:4,6", "mesh:2,2,2,3")  # warm the cache
+                latencies = []
+                for _ in range(50):
+                    started = time.perf_counter()
+                    client.embed("torus:4,6", "mesh:2,2,2,3")
+                    latencies.append(time.perf_counter() - started)
+        median_ms = statistics.median(latencies) * 1e3
+        assert median_ms < 10.0, f"warm sequential median {median_ms:.1f} ms"
 
 
 class TestServeDaemon:
