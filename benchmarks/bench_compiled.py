@@ -25,13 +25,14 @@ default no-numba lanes stay green.
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.compiled import compiled_tier_available
 from repro.graphs.base import Mesh, Torus
 from repro.netsim.kernels import LinkIndexSpace, expand_routes
 from repro.netsim.simulator import simulate_phases_rounds
-from repro.numbering.arrays import indices_to_digits, require_numpy
+from repro.numbering.arrays import indices_to_digits
 from repro.optimize import OptimizeOptions, optimize_embedding
 from repro.runtime import use_context
 
@@ -54,7 +55,6 @@ OPT_OPTIONS = OptimizeOptions(objective="combined", budget=2000, population=16, 
 
 def _sim_phase():
     """One expanded 16k-message phase (deterministic endpoints/occupancies)."""
-    np = require_numpy()
     host = Torus(SIM_HOST_SHAPE)
     space = LinkIndexSpace(host)
     rng = np.random.default_rng(42)

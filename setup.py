@@ -11,7 +11,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-torus-mesh-embeddings",
-    version="1.0.0",
+    version="2.0.0",
     description=(
         "Reproduction of 'Embeddings Among Toruses and Meshes' (Ma & Tao, "
         "ICPP 1987): Gray-code embeddings, vectorized cost metrics and a "

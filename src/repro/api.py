@@ -1,8 +1,7 @@
 """The stable public surface of the package.
 
 Seven PRs of growth left the import surface incidental — callers reached
-into ``repro.survey.runner``, ``repro.core.dispatch`` or the deprecated
-``method=`` shim.  This module is the deliberate alternative: one facade
+into ``repro.survey.runner`` or ``repro.core.dispatch``.  This module is the deliberate alternative: one facade
 with documented, stable signatures, re-exported as ``repro.api`` (and
 pinned by ``tests/test_api_surface.py`` so accidental drift fails CI).
 

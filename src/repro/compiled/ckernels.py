@@ -26,7 +26,8 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Dict
 
-from ..numbering.arrays import require_numpy
+import numpy as np
+
 from .toolchain import find_c_compiler
 
 __all__ = ["function_table", "library_path"]
@@ -380,7 +381,6 @@ def function_table() -> Dict[str, Callable]:
     references to the arrays for the duration of the call, so the buffers
     cannot be collected mid-kernel.
     """
-    np = require_numpy()
     lib = _library()
     ffi = _FFI
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 import warnings
 from typing import Callable, Dict, List, Optional
 
-from ..numbering.arrays import digit_weights, require_numpy
+import numpy as np
+
+from ..numbering.arrays import digit_weights
 from . import toolchain
 from .kernels_py import KERNEL_NAMES
 
@@ -73,7 +75,6 @@ class KernelSet:
         ``max_events`` (the caller raises).  ``completion`` is the merged
         per-message finish-time array; messages with no hops stay 0.0.
         """
-        np = require_numpy()
         next_hop = np.ascontiguousarray(first_hop, dtype=np.int64).copy()
         last = np.ascontiguousarray(last_hop, dtype=np.int64)
         ids = np.ascontiguousarray(link_ids, dtype=np.int64)
@@ -107,7 +108,6 @@ class KernelSet:
         self, src_digits, offsets, starts, shape, num_nodes: int, torus: bool
     ):
         """The per-hop ``link_ids`` array of the CSR route expansion."""
-        np = require_numpy()
         src = np.ascontiguousarray(src_digits, dtype=np.int64)
         offs = np.ascontiguousarray(offsets, dtype=np.int64)
         row_starts = np.ascontiguousarray(starts, dtype=np.int64)
@@ -132,7 +132,6 @@ class KernelSet:
         self, num_slots: int, starts, link_ids, sizes, occupancy, hop_occupancy=None
     ):
         """Fused ``(counts, volume, busy)`` accumulation over the CSR hops."""
-        np = require_numpy()
         row_starts = np.ascontiguousarray(starts, dtype=np.int64)
         ids = np.ascontiguousarray(link_ids, dtype=np.int64)
         message_sizes = np.ascontiguousarray(sizes, dtype=np.float64)
@@ -164,7 +163,6 @@ class KernelSet:
     # ------------------------------------------------------------------ #
     def score_rows(self, images, edge_u, edge_v, shape, torus: bool, *, with_congestion):
         """``(dil_max, dil_sum, congestion-or-None)`` per image row."""
-        np = require_numpy()
         matrix = np.ascontiguousarray(images, dtype=np.int64)
         if matrix.ndim == 1:
             matrix = matrix[None, :]
@@ -198,7 +196,6 @@ class KernelSet:
 
     def apply_moves(self, matrix, moves):
         """Candidate population from one ``(kind, lo, hi)`` move per member."""
-        np = require_numpy()
         population = np.ascontiguousarray(matrix, dtype=np.int64)
         move_rows = np.ascontiguousarray(
             np.asarray(list(moves), dtype=np.int64).reshape(len(moves), 3)

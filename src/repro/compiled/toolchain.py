@@ -14,9 +14,8 @@ two toolchains at runtime:
 Neither is a hard dependency.  This module only *detects* them — module-spec
 lookups and a ``$CC``/``cc``/``gcc``/``clang`` search — and exposes the
 results as the monkeypatchable module globals ``_HAVE_NUMBA`` /
-``_HAVE_CFFI`` (the same seam as ``repro.runtime.context._HAVE_NUMPY``), so
-tests can simulate a toolchain-less environment without uninstalling
-anything.  Actual compilation is deferred to
+``_HAVE_CFFI``, so tests can simulate a toolchain-less environment without
+uninstalling anything.  Actual compilation is deferred to
 :func:`repro.compiled.dispatch.load_kernels`.
 """
 
@@ -61,8 +60,8 @@ def find_c_compiler() -> Optional[str]:
 
 HAVE_CFFI = _module_exists("cffi") and find_c_compiler() is not None
 
-#: Patchable aliases (mirroring ``context._HAVE_NUMPY``): tests flip these to
-#: simulate a machine without any kernel toolchain.
+#: Patchable aliases: tests flip these to simulate a machine without any
+#: kernel toolchain.
 _HAVE_NUMBA = HAVE_NUMBA
 _HAVE_CFFI = HAVE_CFFI
 

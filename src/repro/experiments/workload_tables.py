@@ -32,7 +32,7 @@ from ..netsim import (
 )
 from ..runtime.registry import build_strategy
 from ..survey.runner import SurveyOptions, evaluate_scenario
-from ..survey.scenarios import Scenario, scenarios_for_suite
+from ..survey.scenarios import scenarios_for_suite
 from .registry import ExperimentResult, register
 
 __all__ = ["expansion_rows", "fault_rows", "hotspot_rows"]

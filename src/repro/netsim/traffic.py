@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.embedding import Embedding
 from ..exceptions import SimulationError
 from ..graphs.base import CartesianGraph
@@ -29,7 +31,6 @@ from ..numbering.arrays import (
     digit_weights,
     digits_to_indices,
     indices_to_digits,
-    require_numpy,
 )
 from ..runtime.context import use_array_path
 from ..runtime.registry import register_traffic, traffic_names as _registered_names
@@ -95,9 +96,7 @@ class TrafficPattern:
         converted arrays are cached on the (immutable) pattern, so placing
         the same pattern under several embeddings — the survey and CLI
         comparison loops — converts and validates the messages only once.
-        Requires NumPy.
         """
-        np = require_numpy()
         cached = getattr(self, "_endpoint_cache", None)
         if cached is not None and cached[0] == tuple(guest_shape):
             return cached[1]
@@ -343,7 +342,7 @@ def bursty_traffic(
 # differential suite pins the two forms equal for every pattern.
 
 
-def _neighbor_exchange_ranks(guest: CartesianGraph, np):
+def _neighbor_exchange_ranks(guest: CartesianGraph):
     """Sources/targets of one message per directed guest edge.
 
     Reproduces ``guest.edges()`` order exactly — nodes in natural order,
@@ -369,7 +368,7 @@ def _neighbor_exchange_ranks(guest: CartesianGraph, np):
     return sources, targets
 
 
-def _transpose_ranks(guest: CartesianGraph, np):
+def _transpose_ranks(guest: CartesianGraph):
     """Sources/targets of the transpose pattern, in natural node order."""
     digits = guest.node_digit_array()
     weights = digit_weights(guest.shape)
@@ -383,7 +382,7 @@ def _transpose_ranks(guest: CartesianGraph, np):
     return ranks[keep], partners[keep]
 
 
-def _all_to_all_groups_ranks(guest: CartesianGraph, np):
+def _all_to_all_groups_ranks(guest: CartesianGraph):
     """Sources/targets of the within-group all-to-all, default group size."""
     group_size = guest.shape[-1]
     num_groups = guest.size // group_size
@@ -399,7 +398,7 @@ def _all_to_all_groups_ranks(guest: CartesianGraph, np):
     )
 
 
-def _pairs_to_rank_arrays(pairs, np):
+def _pairs_to_rank_arrays(pairs):
     """Rank-pair list -> the two flat endpoint arrays (shared seeded draws)."""
     if not pairs:
         empty = np.zeros(0, dtype=np.int64)
@@ -408,16 +407,16 @@ def _pairs_to_rank_arrays(pairs, np):
     return np.ascontiguousarray(array[:, 0]), np.ascontiguousarray(array[:, 1])
 
 
-def _random_permutation_rank_arrays(guest: CartesianGraph, np):
-    return _pairs_to_rank_arrays(_random_permutation_pairs(guest, 0), np)
+def _random_permutation_rank_arrays(guest: CartesianGraph):
+    return _pairs_to_rank_arrays(_random_permutation_pairs(guest, 0))
 
 
-def _hotspot_rank_arrays(guest: CartesianGraph, np):
-    return _pairs_to_rank_arrays(_hotspot_pairs(guest), np)
+def _hotspot_rank_arrays(guest: CartesianGraph):
+    return _pairs_to_rank_arrays(_hotspot_pairs(guest))
 
 
-def _bursty_rank_arrays(guest: CartesianGraph, np):
-    return _pairs_to_rank_arrays(_bursty_pairs(guest, 0), np)
+def _bursty_rank_arrays(guest: CartesianGraph):
+    return _pairs_to_rank_arrays(_bursty_pairs(guest, 0))
 
 
 _RANK_GENERATORS = {
@@ -439,13 +438,12 @@ def traffic_rank_arrays(
     .endpoint_rank_arrays(guest.shape)`` element for element (and in the same
     message order), computed without materializing a single
     :class:`Message`.  Returns ``None`` for patterns without a vectorized
-    generator — callers fall back to the builder.  Requires NumPy.
+    generator — callers fall back to the builder.
     """
     generator = _RANK_GENERATORS.get(name)
     if generator is None:
         return None
-    np = require_numpy()
-    sources, targets = generator(guest, np)
+    sources, targets = generator(guest)
     return sources, targets, np.full(sources.size, message_size, dtype=np.float64)
 
 

@@ -160,9 +160,9 @@ class ReproService:
     Parameters
     ----------
     backend:
-        Runtime backend of the resident context (``"auto"`` resolves to the
-        array kernels when NumPy is present; the loop backend still serves,
-        through the per-scenario reference path).
+        Runtime backend of the resident context, the only backend switch
+        (``"auto"`` resolves to the array kernels; the loop backend still
+        serves, through the per-scenario reference path).
     cache / cache_path:
         The resident construction cache, or a pickle path to warm-start it
         from (and snapshot it back to).  With neither, a fresh in-memory

@@ -134,3 +134,37 @@ class TestFacadeBehaviour:
     def test_bad_spec_string_raises(self):
         with pytest.raises(Exception):
             api.embed("blob:4x4", "mesh:4,4")
+
+
+class TestPlainInstall:
+    def test_imports_without_networkx(self):
+        # networkx ships only with the dev extra; a plain install must import.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part
+            for part in (
+                str(Path(repro.__file__).resolve().parents[1]),
+                env.get("PYTHONPATH"),
+            )
+            if part
+        )
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro, repro.api\n"
+            "print(repro.__version__)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == repro.__version__

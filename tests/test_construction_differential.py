@@ -183,12 +183,12 @@ def test_backend_validation_still_applies():
         embed(Mesh((2, 3)), Mesh((2, 2)))
 
 
-def test_deprecated_method_kwarg_installs_scoped_backend():
-    # The shim must behave exactly like the use_context form, and warn.
-    with pytest.warns(DeprecationWarning):
-        shimmed = embed(Torus((4, 6)), Mesh((2, 2, 2, 3)), method="loop")
+def test_scoped_backend_reaches_the_whole_construction_chain():
+    # The scoped context is the only backend switch: it must reach every
+    # step of a multi-step chain, so the loop build is dict-backed end to end.
     with use_context(backend="loop"):
-        scoped = embed(Torus((4, 6)), Mesh((2, 2, 2, 3)))
-    assert_constructions_agree(shimmed, scoped)
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        embed(Mesh((2, 2)), Mesh((2, 2)), method="vectorized")
+        loop = embed(Torus((4, 6)), Mesh((2, 2, 2, 3)))
+    with use_context(backend="array"):
+        array = embed(Torus((4, 6)), Mesh((2, 2, 2, 3)))
+    assert loop._host_indices is None
+    assert_constructions_agree(array, loop)

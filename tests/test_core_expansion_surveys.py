@@ -80,6 +80,9 @@ class TestExpansionDispatch:
                     embedding.strategy,
                     [host.node_index(embedding.map_index(r)) for r in range(guest.size)],
                 )
+                if backend == "loop":
+                    # The loop reference builds dict-backed, without arrays.
+                    assert embedding._host_indices is None
         assert results["array"] == results["loop"]
 
     @given(pair=unequal_size_shape_pairs(), guest_kind=graph_kinds, host_kind=graph_kinds)

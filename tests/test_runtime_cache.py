@@ -1,5 +1,6 @@
 """Tests for the construction cache: content addressing, sharing, identity."""
 
+import dataclasses
 import json
 import pickle
 import warnings
@@ -85,6 +86,23 @@ class TestReconstruction:
         assert loop_rehydrated._host_indices is None  # dict-backed rebuild
         assert loop_rehydrated.mapping == array_built.mapping
         assert loop_rehydrated.strategy == array_built.strategy
+
+    def test_plain_tuple_payloads_rehydrate_under_both_backends(self):
+        # Cache files are outside input: older releases wrote plain int
+        # tuples, and the reader must keep accepting them.
+        guest, host = PAIR
+        cache = ConstructionCache()
+        with use_context(cache=cache):
+            built = embed(guest, host)
+        key = embedding_cache_key(strategy_for(guest, host), guest, host)
+        payload = cache.data[key]
+        cache.data[key] = dataclasses.replace(
+            payload, host_indices=tuple(int(i) for i in payload.host_indices)
+        )
+        for backend in ("array", "loop"):
+            with use_context(backend=backend, cache=cache):
+                assert embed(guest, host).mapping == built.mapping
+        assert cache.hits == 2
 
     def test_unsupported_pairs_raise_identically_with_a_cache(self):
         guest, host = Mesh((4, 6)), Mesh((3, 8))

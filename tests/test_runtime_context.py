@@ -1,19 +1,23 @@
-"""Tests for the execution context: resolution order, scoping, the shim."""
+"""Tests for the execution context: resolution order and scoping."""
 
 import pickle
+import warnings
 
 import pytest
 
+from repro.analysis.fault_tolerance import fault_dilation_summary, repair_embedding
 from repro.core.dispatch import embed
 from repro.core.embedding import use_array_path
 from repro.graphs.base import Mesh, Torus
+from repro.graphs.faults import FaultSpec
+from repro.netsim.network import HostNetwork
+from repro.netsim.simulator import simulate_phase
+from repro.netsim.traffic import neighbor_exchange_traffic, traffic_pattern
+from repro.netsim.weights import LinkWeightSpec
 from repro.runtime import ExecutionContext, current, use_context
-from repro.runtime import context as context_module
-from repro.runtime.context import (
-    accepts_deprecated_method,
-    resolve_backend,
-    set_default_context,
-)
+from repro.runtime.context import resolve_backend, set_default_context
+from repro.survey import Scenario, SurveyOptions
+from repro.survey.runner import evaluate_scenario
 
 pytestmark = pytest.mark.smoke
 
@@ -34,14 +38,10 @@ class TestExecutionContext:
         with pytest.raises(ValueError):
             ExecutionContext(shard_size=0)
 
-    def test_resolved_backend_with_numpy(self):
+    def test_resolved_backend(self):
         assert ExecutionContext(backend="auto").resolved_backend() == "array"
         assert ExecutionContext(backend="array").resolved_backend() == "array"
         assert ExecutionContext(backend="loop").resolved_backend() == "loop"
-        # the per-call override (the method= shim) wins over the field
-        assert ExecutionContext(backend="array").resolved_backend("loop") == "loop"
-        with pytest.raises(ValueError):
-            ExecutionContext().resolved_backend("bogus")
 
     def test_resolved_workers(self):
         assert ExecutionContext(workers=3).resolved_workers() == 3
@@ -107,62 +107,112 @@ class TestScoping:
     def test_resolve_backend_module_helper(self):
         with use_context(backend="loop"):
             assert resolve_backend() == "loop"
-            assert resolve_backend("array") == "array"
 
 
-class TestMissingNumpyFallback:
-    def test_array_request_degrades_to_loop_with_one_warning(self, monkeypatch):
-        monkeypatch.setattr(context_module, "_HAVE_NUMPY", False)
-        monkeypatch.setattr(context_module, "_warned_numpy_fallback", False)
-        with pytest.warns(RuntimeWarning, match="falls back to the pure-Python"):
-            assert ExecutionContext(backend="array").resolved_backend() == "loop"
-        # second resolution: same fallback, no second warning
-        import warnings
+class TestPerCallBackendRemoved:
+    """``use_context(backend=...)`` is the only backend switch since 2.0."""
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ExecutionContext(backend="auto").resolved_backend() == "loop"
-            assert not use_array_path()
+    def test_resolvers_take_no_arguments(self):
+        with pytest.raises(TypeError):
+            ExecutionContext().resolved_backend("loop")
+        with pytest.raises(TypeError):
+            ExecutionContext().use_array("loop")
+        with pytest.raises(TypeError):
+            resolve_backend("loop")
+        with pytest.raises(TypeError):
+            use_array_path("loop")
 
-    def test_loop_request_never_warns(self, monkeypatch):
-        monkeypatch.setattr(context_module, "_HAVE_NUMPY", False)
-        monkeypatch.setattr(context_module, "_warned_numpy_fallback", False)
-        import warnings
+    def test_method_kwarg_raises_type_error(self):
+        guest, host = Torus((4, 6)), Mesh((2, 2, 2, 3))
+        with pytest.raises(TypeError):
+            embed(guest, host, method="loop")
+        embedding = embed(guest, host)
+        with pytest.raises(TypeError):
+            embedding.dilation(method="loop")
 
+    def test_survey_options_has_no_method_field(self):
+        with pytest.raises(TypeError):
+            SurveyOptions(method="loop")
+
+
+def _record_fields(record):
+    """A record's canonical dict with the timing column removed."""
+    return {**record.as_dict(), "elapsed_seconds": None}
+
+
+class TestLoopBackend:
+    """``backend="loop"`` is the pure-Python reference for every workload."""
+
+    def test_constructions_build_dict_backed(self):
+        with use_context(backend="loop"):
+            embedding = embed(Torus((3, 4)), Mesh((3, 4)))
+            # the loop reference builds without the array host indices
+            assert embedding._host_indices is None
+            assert embedding.dilation() == 2
+
+    def test_loop_request_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ExecutionContext(backend="loop").resolved_backend() == "loop"
+            with use_context(backend="loop"):
+                embedding = embed(Mesh((8,)), Mesh((3, 4)))
+                assert embedding.strategy.startswith("subshape:")
 
-    def test_constructions_still_work_without_numpy_path(self, monkeypatch):
-        monkeypatch.setattr(context_module, "_HAVE_NUMPY", False)
-        monkeypatch.setattr(context_module, "_warned_numpy_fallback", True)
-        embedding = embed(Torus((3, 4)), Mesh((3, 4)))
-        # the loop fallback built a dict-backed embedding without NumPy help
-        assert embedding._host_indices is None
-        assert embedding.dilation() == 2
-
-
-class TestDeprecatedMethodShim:
-    def test_shim_warns_and_scopes_the_backend(self):
-        @accepts_deprecated_method
-        def probe():
-            return current().backend
-
-        assert probe() == "auto"  # method=None: no warning, no scope
-        with pytest.warns(DeprecationWarning, match="probe\\(method=...\\)"):
-            assert probe(method="loop") == "loop"
-        assert current().backend == "auto"
-
-    def test_shim_validates_the_backend_value(self):
-        @accepts_deprecated_method
-        def probe():
-            return None  # pragma: no cover - never reached with a bad value
-
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            probe(method="bogus")
-
-    def test_embedding_cost_methods_accept_the_shim(self):
+    def test_cost_methods_follow_the_scoped_backend(self):
         embedding = embed(Torus((4, 6)), Mesh((2, 2, 2, 3)))
-        with pytest.warns(DeprecationWarning):
-            loop_dilation = embedding.dilation(method="loop")
-        assert loop_dilation == embedding.dilation()
+        with use_context(backend="loop"):
+            loop_costs = (embedding.dilation(), embedding.average_dilation())
+        with use_context(backend="array"):
+            array_costs = (embedding.dilation(), embedding.average_dilation())
+        assert loop_costs == array_costs
+
+    def test_expansion_faults_and_weighted_simulation(self):
+        guest, host = Torus((2, 3)), Mesh((3, 4))
+        faults = FaultSpec(1, 1, 5).apply(host)
+        network = HostNetwork(host, link_weights=LinkWeightSpec("dimension", 0.5))
+        traffic = neighbor_exchange_traffic(guest)
+        outcomes = {}
+        for backend in ("loop", "array"):
+            with use_context(backend=backend):
+                # Expansion: a sub-embedding into the larger host.
+                embedding = embed(guest, host)
+                assert embedding.strategy.startswith("subshape:")
+                assert embedding.dilation() >= 1
+                # Faults: repair and degraded dilation.
+                repaired = repair_embedding(embedding, faults)
+                dilation, average = fault_dilation_summary(repaired, faults)
+                assert dilation >= 1 and average > 0
+                # Weighted, fault-aware simulation.
+                result = simulate_phase(network, repaired, traffic, faults=faults)
+                assert result.makespan > 0
+                outcomes[backend] = (
+                    repaired.mapping,
+                    dilation,
+                    average,
+                    result.makespan,
+                    result.per_message_completion,
+                )
+        assert outcomes["loop"] == outcomes["array"]
+        assert len(traffic_pattern("hotspot", guest).messages) == guest.size - 1
+
+    def test_survey_records_for_expansion_and_faults(self):
+        options = SurveyOptions(workers=1)
+        scenarios = (
+            Scenario("torus", (2, 3), "mesh", (3, 4)),
+            Scenario("torus", (2, 3), "mesh", (3, 4), faults="n1l1s5"),
+        )
+        records = {}
+        for backend in ("loop", "array"):
+            with use_context(backend=backend):
+                records[backend] = [
+                    evaluate_scenario(scenario, options) for scenario in scenarios
+                ]
+        expansion, fault = records["loop"]
+        assert expansion.status == "ok"
+        assert expansion.guest_size == 6 and expansion.nodes == 12
+        assert fault.status == "ok"
+        assert fault.faults == "n1l1s5"
+        assert fault.dilation >= 1
+        assert [_record_fields(r) for r in records["loop"]] == [
+            _record_fields(r) for r in records["array"]
+        ]

@@ -33,7 +33,8 @@ from repro.netsim import (
     simulate_phase,
     simulate_phases,
 )
-from repro.netsim.simulator import _phase_arrays, _simulate_arrays
+from repro.compiled.dispatch import interpreted_kernels
+from repro.netsim.simulator import _phase_arrays, simulate_phases_rounds
 from repro.numbering.arrays import compact_index_dtype
 from repro.runtime import ConstructionCache, ExecutionContext, use_context
 from repro.runtime.cache import edge_arrays_cache_key
@@ -98,8 +99,13 @@ class TestBatchedRecordIdentity:
     def test_batched_matches_loop_backend_reference(self):
         # The strongest form of the contract: stacked kernels vs the
         # pure-Python per-edge/per-message loops.
-        scenarios = scenarios_for_suite("smoke") + scenarios_for_suite(
-            "simulation", max_nodes=24
+        # The expansion and faults suites add sub-embeddings, fault repair
+        # and degraded-host simulation to the loop side of the comparison.
+        scenarios = (
+            scenarios_for_suite("smoke")
+            + scenarios_for_suite("simulation", max_nodes=24)
+            + scenarios_for_suite("expansion")
+            + scenarios_for_suite("faults")
         )
         options = SurveyOptions(workers=1, with_congestion=True)
         with use_context(backend="array", batch=True):
@@ -107,6 +113,8 @@ class TestBatchedRecordIdentity:
         with use_context(backend="loop"):
             loop = run_survey(scenarios, options).records
         assert_identical_records(batched, loop)
+        assert all(r.status in ("ok", "unsupported") for r in loop)
+        assert all(r.status == "ok" and r.dilation >= 1 for r in loop if r.faults)
 
     def test_parallel_batched_matches_sequential_reference(self):
         scenarios = all_pairs(12)
@@ -229,6 +237,19 @@ def _placed_phase(draw):
 placed_phases = st.composite(_placed_phase)
 
 
+def _drain_through_heap_kernel(phases):
+    """``simulate_phases_rounds`` drained by the interpreted heap kernel."""
+    import repro.netsim.simulator as simulator_module
+
+    heap = interpreted_kernels()
+    original = simulator_module.active_kernels
+    simulator_module.active_kernels = lambda: heap
+    try:
+        return simulate_phases_rounds(phases)
+    finally:
+        simulator_module.active_kernels = original
+
+
 class TestRoundSimulatorEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(placed_phases())
@@ -239,8 +260,8 @@ class TestRoundSimulatorEquivalence:
             space, routes, _sizes, occupancy, hop_occupancy = _phase_arrays(
                 network, embedding, traffic
             )
-        heap_makespan, heap_completion = _simulate_arrays(
-            space, routes, occupancy, 5_000_000, hop_occupancy
+        ((heap_makespan, heap_completion),) = _drain_through_heap_kernel(
+            [(space, routes, occupancy, hop_occupancy)]
         )
         with use_context(backend="loop"):
             loop = simulate_phase(network, embedding, traffic)

@@ -82,13 +82,17 @@ class TestSimulationRunner:
         strip = lambda r: {**r.as_dict(), "elapsed_seconds": None}
         assert strip(array) == strip(loop)
 
-    def test_deprecated_options_method_still_works(self):
+    def test_paper_record_under_the_loop_backend(self):
         scenario = Scenario(
             "torus", (4, 4), "mesh", (2, 2, 2, 2), strategy="paper", traffic="transpose"
         )
-        with pytest.warns(DeprecationWarning):
-            record = evaluate_scenario(scenario, SurveyOptions(method="loop"))
-        assert record.status == "ok"
+        with use_context(backend="loop"):
+            loop = evaluate_scenario(scenario, SurveyOptions())
+        with use_context(backend="array"):
+            array = evaluate_scenario(scenario, SurveyOptions())
+        assert loop.status == "ok"
+        strip = lambda r: {**r.as_dict(), "elapsed_seconds": None}
+        assert strip(loop) == strip(array)
 
     def test_paper_beats_baselines_across_the_suite(self):
         report = run_survey(
