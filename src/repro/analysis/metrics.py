@@ -31,6 +31,7 @@ __all__ = [
     "stack_host_index_arrays",
     "stacked_edge_dilations",
     "stacked_dilation_summary",
+    "grouped_dilation_summary",
     "stacked_congestion",
     "stacked_objective_components",
 ]
@@ -169,6 +170,43 @@ def stacked_dilation_summary(host, edge_u, edge_v, images):
         return dil_max, dil_sum / float(edge_u.size)
     dilations = stacked_edge_dilations(host, edge_u, edge_v, images)
     return dilations.max(axis=1), dilations.mean(axis=1)
+
+
+def grouped_dilation_summary(host, rows):
+    """``(dilation, average_dilation)`` columns for embeddings sharing a host.
+
+    ``rows`` is a sequence of ``(images, edge_u, edge_v)`` triples, one per
+    embedding: its host-index row and its guest's edge-endpoint ranks.
+    Unlike :func:`stacked_dilation_summary` the guests may differ (shape,
+    kind, even size), so the rows are not stacked into a matrix; instead
+    every row's endpoint images are gathered and concatenated, one
+    ``host.distance_indices`` call measures all of them, and per-row
+    segments are reduced with ``np.maximum.reduceat`` / ``np.add.reduceat``.
+    The average is the exact integer sum over the edge count, which is
+    bit-for-bit ``mean(axis=1)`` of the stacked kernel (the distances are
+    small integers, so the pairwise float sum is exact).  A row without
+    edges reads ``(0, 0.0)`` as in the stacked kernel.
+    """
+    dilation = np.zeros(len(rows), dtype=np.int64)
+    average = np.zeros(len(rows), dtype=np.float64)
+    present = [index for index, (_, edge_u, _) in enumerate(rows) if len(edge_u)]
+    if not present:
+        return dilation, average
+    sources = []
+    targets = []
+    for index in present:
+        images, edge_u, edge_v = rows[index]
+        images = np.asarray(images)
+        sources.append(images[edge_u])
+        targets.append(images[edge_v])
+    distances = host.distance_indices(
+        np.concatenate(sources), np.concatenate(targets)
+    )
+    lengths = np.array([len(gathered) for gathered in sources], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    dilation[present] = np.maximum.reduceat(distances, starts)
+    average[present] = np.add.reduceat(distances, starts) / lengths
+    return dilation, average
 
 
 def stacked_objective_components(host, edge_u, edge_v, images, *, with_congestion):

@@ -21,9 +21,6 @@ simply ask for an embedding and get the best construction the paper offers:
 
 from __future__ import annotations
 
-
-import numpy as np
-
 from ..exceptions import (
     NoExpansionError,
     NoReductionError,
@@ -31,7 +28,7 @@ from ..exceptions import (
     UnsupportedEmbeddingError,
 )
 from ..graphs.base import CartesianGraph, Mesh
-from ..numbering.arrays import digits_to_indices, indices_to_digits
+from ..numbering.arrays import digit_table, digits_to_indices
 from ..numbering.batch import t_columns
 from ..runtime.cache import embedding_cache_key
 from ..runtime.context import current
@@ -57,7 +54,7 @@ def _permuted_shape_embedding(guest: CartesianGraph, host: CartesianGraph) -> Em
         shape = guest.shape
         notes = {"permutation": permutation, "dilation_is_upper_bound": min(shape) <= 2}
         if use_array_path():
-            digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), shape)
+            digits = digit_table(shape)
             relabelled = t_columns(shape, digits)
             return Embedding.from_index_array(
                 guest,

@@ -47,8 +47,8 @@ from ..exceptions import InvalidEmbeddingError, InvalidRadixError, ShapeMismatch
 from ..graphs.base import CartesianGraph
 from ..graphs.paths import dimension_order_path
 from ..numbering.arrays import (
+    digit_table,
     digits_to_indices,
-    indices_to_digits,
     stacked_edge_congestion,
 )
 from ..runtime.context import use_array_path
@@ -243,7 +243,7 @@ class Embedding:
                 "preserve adjacency; use the same-shape T_L embedding instead"
             )
         if use_array_path():
-            digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
+            digits = digit_table(guest.shape)
             return cls.from_index_array(
                 guest,
                 host,

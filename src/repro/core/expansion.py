@@ -21,6 +21,7 @@ embedding-construction time.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -176,18 +177,35 @@ def iter_expansion_factors(
     yield from recurse(0, Counter(target), ())
 
 
+#: Distinct ``(source, target, min_parts_per_list)`` keys the
+#: :func:`find_expansion_factor` memo holds (least recently used evicted).
+EXPANSION_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=EXPANSION_CACHE_SIZE)
+def _first_expansion_factor(
+    source: Tuple[int, ...], target: Tuple[int, ...], min_parts_per_list: int
+) -> Optional[ExpansionFactor]:
+    for factor in iter_expansion_factors(
+        source, target, min_parts_per_list=min_parts_per_list, limit=1
+    ):
+        return factor
+    return None
+
+
 def find_expansion_factor(
     source: Sequence[int],
     target: Sequence[int],
     *,
     min_parts_per_list: int = 1,
 ) -> Optional[ExpansionFactor]:
-    """The first expansion factor found, or ``None`` when none exists."""
-    for factor in iter_expansion_factors(
-        source, target, min_parts_per_list=min_parts_per_list, limit=1
-    ):
-        return factor
-    return None
+    """The first expansion factor found, or ``None`` when none exists.
+
+    The factor depends on the shapes alone, so the search is memoized by
+    ``(source, target, min_parts_per_list)``; :class:`ExpansionFactor` is
+    frozen, so callers share the cached instance safely.
+    """
+    return _first_expansion_factor(tuple(source), tuple(target), min_parts_per_list)
 
 
 def is_expansion(source: Sequence[int], target: Sequence[int]) -> bool:

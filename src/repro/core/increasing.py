@@ -30,7 +30,7 @@ import numpy as np
 
 from ..exceptions import NoExpansionError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digits_to_indices, indices_to_digits
+from ..numbering.arrays import digit_table, digits_to_indices
 from ..numbering.batch import f_digits, g_digits, h_digits
 from ..numbering.radix import RadixBase
 from ..types import Node
@@ -209,9 +209,7 @@ def embed_increasing(
         notes["dilation_is_upper_bound"] = guest.size % 2 == 0
 
     if use_array_path():
-        guest_digits = indices_to_digits(
-            np.arange(guest.size, dtype=np.int64), source_shape
-        )
+        guest_digits = digit_table(source_shape)
         # φ_{V_k} expands guest column k into len(V_k) host digit columns.
         blocks = [
             batch_fn(component, guest_digits[:, k])

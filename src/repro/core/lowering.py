@@ -27,7 +27,7 @@ import numpy as np
 
 from ..exceptions import NoReductionError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digits_to_indices, indices_to_digits
+from ..numbering.arrays import digit_table, digits_to_indices
 from ..numbering.batch import f_digits, g_digits, group_collapse, t_columns
 from ..numbering.radix import RadixBase
 from ..types import Node
@@ -150,7 +150,7 @@ def embed_lowering_simple(
         notes = {"reduction_factor": factor.groups, "permutation": tau}
 
     if use_array_path():
-        digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
+        digits = digit_table(guest.shape)
         rearranged = digits[:, list(tau)]
         if torus_into_mesh:
             rearranged = t_columns(flattened, rearranged)
@@ -289,7 +289,7 @@ def embed_lowering_general(
         notes["dilation_is_upper_bound"] = True
 
     if use_array_path():
-        digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
+        digits = digit_table(guest.shape)
         rearranged = digits[:, list(alpha)]
         prefix = rearranged[:, : factor.c]  # supernode coordinates L'
         suffix = rearranged[:, factor.c :]  # supernode contents L''

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..exceptions import ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digits_to_indices, indices_to_digits
+from ..numbering.arrays import digit_table, digits_to_indices
 from ..numbering.batch import t_columns
 from ..types import Node
 from .basic import t_value
@@ -52,7 +50,7 @@ def torus_in_mesh_same_shape(guest: CartesianGraph, host: CartesianGraph) -> Emb
     shape = guest.shape
     notes = {"dilation_is_upper_bound": guest.is_hypercube or min(shape) <= 2}
     if use_array_path():
-        digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), shape)
+        digits = digit_table(shape)
         return Embedding.from_index_array(
             guest,
             host,

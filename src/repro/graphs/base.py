@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import InvalidShapeError
-from ..numbering.arrays import digit_weights, indices_to_digits
+from ..numbering.arrays import digit_table, digit_weights
 from ..numbering.distance import graph_distance_indices, mesh_distance, torus_distance
 from ..numbering.radix import RadixBase
 from ..types import GraphKind, Node, Shape, ShapedGraphSpec, as_shape
@@ -214,13 +214,13 @@ class CartesianGraph:
         """The ``(n, d)`` digit rows of every node in natural order (cached).
 
         The all-nodes ``u_L`` table shared by the edge derivation and the
-        batched construction kernels.  Computed once per graph object and
-        returned read-only.
+        batched construction kernels: the shape-keyed
+        :func:`~repro.numbering.arrays.digit_table`, held per graph object
+        too so shapes too large for the shared memo are built only once.
+        Read-only.
         """
         if self._node_digits is None:
-            digits = indices_to_digits(np.arange(self.size, dtype=np.int64), self._shape)
-            digits.setflags(write=False)
-            self._node_digits = digits
+            self._node_digits = digit_table(self._shape)
         return self._node_digits
 
     def neighbor_rank_matrix(self):

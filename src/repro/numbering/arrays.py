@@ -8,7 +8,15 @@ module provides them on flat NumPy ``int64`` arrays:
 * :func:`indices_to_digits` — ``u_L`` applied to an ``(n,)`` array of flat
   indices, producing an ``(n, d)`` array of radix-L digit rows;
 * :func:`digits_to_indices` — the inverse ``u_L^{-1}`` on an ``(n, d)`` array;
-* :func:`digit_weights` — the per-digit weights ``(w_1, ..., w_d)``.
+* :func:`digit_weights` — the per-digit weights ``(w_1, ..., w_d)``;
+* :func:`digit_table` — the all-nodes ``u_L`` table ``(n, d)`` of a shape.
+
+Weights and digit tables depend on the shape alone, so both are memoized by
+``tuple(shape)`` in bounded :func:`functools.lru_cache` tables and returned
+read-only: a survey sweep computes each once per distinct shape rather than
+once per scenario.  Tables of shapes above :data:`DIGIT_TABLE_RETAIN_NODES`
+nodes are computed on demand but never retained, so one huge host does not
+pin its table for the life of the process.
 
 NumPy is a required dependency; the pure-Python per-node loops survive only
 as the ``"loop"`` reference backend of :mod:`repro.runtime.context`.
@@ -16,13 +24,17 @@ as the ``"loop"`` reference backend of :mod:`repro.runtime.context`.
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "compact_index_dtype",
     "digit_weights",
+    "digit_table",
+    "rank_digits",
     "indices_to_digits",
     "digits_to_indices",
     "signed_offset_digits",
@@ -47,20 +59,84 @@ def compact_index_dtype(max_value: int):
     return np.int64
 
 
-def digit_weights(shape: Sequence[int]):
-    """The per-digit weights ``(w_1, ..., w_d)`` of the radix-base ``shape``.
+#: Distinct shapes the :func:`digit_weights` memo holds (least recently
+#: used evicted).  Entries are ``d``-element arrays.
+WEIGHTS_CACHE_SIZE = 2048
 
-    ``w_d = 1`` and ``w_{j-1} = l_j * w_j``, matching
-    :attr:`repro.numbering.radix.RadixBase.weights` without its leading
-    ``w_0 = n`` entry.
-    """
-    radices = np.asarray(tuple(shape), dtype=np.int64)
+#: Distinct shapes the :func:`digit_table` memo holds.  The exhaustive space
+#: up to 64 nodes has 426 shapes.
+DIGIT_TABLE_CACHE_SIZE = 512
+
+#: Largest node count whose digit table :func:`digit_table` retains; bigger
+#: tables are rebuilt per call.  A retained table has at most
+#: ``log2(1024) = 10`` ``int64`` columns (80 KiB), so a full memo stays
+#: under 40 MiB.
+DIGIT_TABLE_RETAIN_NODES = 1024
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=WEIGHTS_CACHE_SIZE)
+def _weights_of(shape: Tuple[int, ...]):
+    radices = np.asarray(shape, dtype=np.int64)
     if radices.ndim != 1 or radices.size == 0:
         raise ValueError("shape must be a non-empty 1-D sequence of radices")
     weights = np.ones(radices.size, dtype=np.int64)
     if radices.size > 1:
         weights[:-1] = np.cumprod(radices[::-1][:-1])[::-1]
-    return weights
+    return _read_only(weights)
+
+
+def digit_weights(shape: Sequence[int]):
+    """The per-digit weights ``(w_1, ..., w_d)`` of the radix-base ``shape``.
+
+    ``w_d = 1`` and ``w_{j-1} = l_j * w_j``, matching
+    :attr:`repro.numbering.radix.RadixBase.weights` without its leading
+    ``w_0 = n`` entry.  Memoized by ``tuple(shape)``; the array is shared
+    and read-only.
+    """
+    return _weights_of(tuple(shape))
+
+
+def _build_digit_table(shape: Tuple[int, ...]):
+    ranks = np.arange(math.prod(shape), dtype=np.int64)
+    return _read_only(indices_to_digits(ranks, shape))
+
+
+_retained_digit_table = functools.lru_cache(maxsize=DIGIT_TABLE_CACHE_SIZE)(
+    _build_digit_table
+)
+
+
+def digit_table(shape: Sequence[int]):
+    """The read-only ``(n, d)`` table of ``u_L`` over every rank ``0 .. n-1``.
+
+    Row ``x`` is :func:`indices_to_digits` of ``x``; gathering rows of this
+    table replaces the per-element ``//`` and ``%`` of the conversion
+    whenever the indices are node ranks of the shape.  Memoized by
+    ``tuple(shape)`` up to :data:`DIGIT_TABLE_RETAIN_NODES` nodes.
+    """
+    shape = tuple(shape)
+    if math.prod(shape) > DIGIT_TABLE_RETAIN_NODES:
+        return _build_digit_table(shape)
+    return _retained_digit_table(shape)
+
+
+def rank_digits(ranks, shape: Sequence[int]):
+    """``u_L`` of node ranks in ``[0, n)``: :func:`indices_to_digits` by table.
+
+    Gathers rows of :func:`digit_table` when the shape's table is retained
+    and falls back to the arithmetic conversion above
+    :data:`DIGIT_TABLE_RETAIN_NODES` nodes, so a few ranks of a huge shape
+    never build its whole table.
+    """
+    shape = tuple(shape)
+    if math.prod(shape) > DIGIT_TABLE_RETAIN_NODES:
+        return indices_to_digits(ranks, shape)
+    return _retained_digit_table(shape)[ranks]
 
 
 def indices_to_digits(indices, shape: Sequence[int]):

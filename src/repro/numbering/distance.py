@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import indices_to_digits
+from .arrays import rank_digits
 
 __all__ = [
     "mesh_distance",
@@ -83,10 +83,11 @@ def graph_distance_indices(a_indices, b_indices, shape: Sequence[int], *, torus:
     The array-backed analogue of :meth:`repro.graphs.base.CartesianGraph.
     distance`: both arguments are ``(n,)`` ``int64`` arrays of natural-order
     node ranks; the result is the ``(n,)`` array of δt (``torus=True``) or δm
-    distances.
+    distances.  The digit rows are gathered from the shape's memoized
+    :func:`~repro.numbering.arrays.digit_table`.
     """
-    a_digits = indices_to_digits(a_indices, shape)
-    b_digits = indices_to_digits(b_indices, shape)
+    a_digits = rank_digits(a_indices, shape)
+    b_digits = rank_digits(b_indices, shape)
     if torus:
         return torus_distance_array(a_digits, b_digits, shape)
     return mesh_distance_array(a_digits, b_digits)

@@ -8,9 +8,9 @@ requests through the async coalescer (:mod:`repro.service.coalescer`):
 the requests queued when the evaluator is free form one batch, converted
 to survey scenarios and evaluated by
 :func:`repro.survey.runner.evaluate_shard`, i.e. grouped by
-``(guest kind+shape, host kind+shape)`` signature, stacked into
-``(batch, size)`` matrices and answered by one
-``stacked_dilation_summary``/stacked-congestion/vectorized-event-loop pass.
+``(guest kind+shape, host kind+shape)`` signature and answered by one
+grouped-dilation pass per host (stacked ``(batch, size)`` matrices when
+congestion is asked) plus one vectorized event loop.
 Responses are therefore byte-identical to the per-request reference path —
 the same contract the batched survey layer pins.
 

@@ -7,38 +7,46 @@ rebuild and one event loop per simulation scenario.  This module evaluates a
 whole *shard* at once instead:
 
 * scenarios are grouped by their ``(guest kind+shape, host kind+shape)``
-  signature; each signature materializes its graphs once, derives (or fetches
-  from the runtime :class:`~repro.runtime.cache.ConstructionCache`) one
-  shared edge-index array, and stacks the signature's host-index arrays into
-  a single ``(batch, size)`` matrix in the smallest sufficient dtype;
-* dilation, average dilation and (optionally) congestion are computed for
-  the whole stack in fused NumPy passes
-  (:mod:`repro.analysis.metrics` stacked kernels) — bit-for-bit the
-  per-scenario values;
+  signature; each signature materializes its graphs once, builds each
+  construction once and derives (or fetches from the runtime
+  :class:`~repro.runtime.cache.ConstructionCache`) one shared edge-index
+  array;
+* dilation and average dilation are measured per *host*: the rows of every
+  signature on one host — different guests — go through one
+  :func:`~repro.analysis.metrics.grouped_dilation_summary` call (one
+  ``distance_indices`` pass plus segment reductions), bit-for-bit the
+  per-scenario values.  With congestion requested, which needs one shared
+  guest, each signature instead stacks its host-index arrays into a
+  ``(batch, size)`` matrix for the fused stacked kernels;
+* the shape-only intermediates underneath — digit weights, all-nodes digit
+  tables (:func:`~repro.numbering.arrays.digit_table`) and expansion factors
+  — are memoized process-wide by shape, so they are computed once per
+  distinct shape rather than once per scenario;
 * simulation scenarios share one memoized traffic pattern per
   ``(pattern, guest signature)`` and one
   :class:`~repro.netsim.network.HostNetwork` per host signature, and all of
   a shard's phases advance together through one round-based vectorized event
   loop (:func:`repro.netsim.simulator.simulate_endpoint_phases`);
-* records are assembled column-wise from the stacked results, in scenario
-  order.
+* records are assembled column-wise from the measured columns, in scenario
+  order, each built once with its ``elapsed_seconds`` share of the shard.
 
 The per-scenario path (:func:`repro.survey.runner.evaluate_scenario`) stays
 as the cross-checked reference — ``use_context(batch=False)`` forces it, and
 the differential suite ``tests/test_survey_batch.py`` pins the two paths'
-records byte-identical (``elapsed_seconds`` timings aside).  Any signature
-group or simulation phase the batched kernels cannot handle falls back to
-the reference path for exactly the affected scenarios, so failure semantics
-(one bad pair must not kill a sweep) are preserved record for record.
+records byte-identical (``elapsed_seconds`` timings aside).  Any host group,
+signature group or simulation phase the batched kernels cannot handle falls
+back to the reference path for exactly the affected scenarios, so failure
+semantics (one bad pair must not kill a sweep) are preserved record for
+record.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import (
+    grouped_dilation_summary,
     stack_host_index_arrays,
     stacked_congestion,
     stacked_dilation_summary,
@@ -150,28 +158,46 @@ class _ShardState:
         return entry
 
 
-def _group_metrics(state: _ShardState, guest, host, embeddings, with_congestion):
+def _group_metrics(state: _ShardState, guest, host, embeddings):
     """Stacked ``strategy row -> (dilation, average, congestion)`` columns.
 
-    ``embeddings`` is the signature group's ``row key -> Embedding`` dict (in
-    insertion order).  One fused pass over the shared edge-index arrays per
-    group; raises only if the stacked kernels themselves fail, in which case
-    the caller falls back to the per-scenario reference for the group.
+    The congestion path: ``embeddings`` is the signature group's ``row key
+    -> Embedding`` dict (in insertion order).  One fused pass over the
+    shared edge-index arrays per group; raises only if the stacked kernels
+    themselves fail, in which case the caller falls back to the
+    per-scenario reference for the group.
     """
     rows = list(embeddings)
     edge_u, edge_v = _shared_edge_arrays(guest, state.cache)
     images = stack_host_index_arrays([embeddings[row] for row in rows], host)
     dilation, average = stacked_dilation_summary(host, edge_u, edge_v, images)
-    congestion = (
-        stacked_congestion(host, edge_u, edge_v, images) if with_congestion else None
-    )
+    congestion = stacked_congestion(host, edge_u, edge_v, images)
     return {
-        row: (
-            int(dilation[offset]),
-            float(average[offset]),
-            int(congestion[offset]) if congestion is not None else None,
-        )
+        row: (int(dilation[offset]), float(average[offset]), int(congestion[offset]))
         for offset, row in enumerate(rows)
+    }
+
+
+def _host_group_metrics(state: _ShardState, members):
+    """Host-grouped ``(signature, row) -> (dilation, average, None)`` columns.
+
+    ``members`` lists the ``(signature, group)`` of every signature group on
+    one host; their rows — different guests, one host — are measured by one
+    :func:`~repro.analysis.metrics.grouped_dilation_summary` call.  Raises
+    only if the grouped kernel itself fails, in which case the caller falls
+    back to the per-scenario reference for the host's groups.
+    """
+    keys = []
+    rows = []
+    for signature, group in members:
+        edge_u, edge_v = _shared_edge_arrays(group["guest"], state.cache)
+        for row, embedding in group["rows"].items():
+            keys.append((signature, row))
+            rows.append((embedding.host_index_array(), edge_u, edge_v))
+    dilation, average = grouped_dilation_summary(members[0][1]["host"], rows)
+    return {
+        key: (int(dilation[offset]), float(average[offset]), None)
+        for offset, key in enumerate(keys)
     }
 
 
@@ -190,6 +216,9 @@ def evaluate_shard_batched(
     started = time.perf_counter()
     state = _ShardState()
     records: List[Optional[SurveyRecord]] = [None] * len(scenarios)
+    # Records decided before assembly (construction or traffic failures),
+    # as constructor arguments: they get the shard's timing share too.
+    pending: Dict[int, Dict] = {}
 
     # ---------------------------------------------------------------- #
     # Pass 1: resolve graphs and constructions, group by signature.
@@ -216,7 +245,7 @@ def evaluate_shard_batched(
         strategy = scenario.strategy if scenario.traffic else "paper"
         status, payload = state.embedding(strategy, guest, host)
         if status != "ok":
-            records[position] = SurveyRecord(status=status, error=payload, **base)
+            pending[position] = dict(status=status, error=payload, **base)
             continue
         signature = ((guest.kind.value, guest.shape), (host.kind.value, host.shape))
         group = groups.setdefault(
@@ -238,18 +267,29 @@ def evaluate_shard_batched(
             )
 
     # ---------------------------------------------------------------- #
-    # Pass 2: stacked metric kernels, one fused pass per signature.
+    # Pass 2: metric kernels — one grouped pass per host, or one stacked
+    # pass per signature when congestion (a same-guest kernel) is asked.
     # ---------------------------------------------------------------- #
     metrics: Dict[Tuple[Tuple[GraphSpec, GraphSpec], str], Tuple] = {}
-    for signature, group in groups.items():
-        try:
-            columns = _group_metrics(
-                state, group["guest"], group["host"], group["rows"], options.with_congestion
-            )
-        except Exception:  # noqa: BLE001 - group falls back to the reference path
-            continue
-        for row, values in columns.items():
-            metrics[(signature, row)] = values
+    if options.with_congestion:
+        for signature, group in groups.items():
+            try:
+                columns = _group_metrics(
+                    state, group["guest"], group["host"], group["rows"]
+                )
+            except Exception:  # noqa: BLE001 - group falls back to the reference path
+                continue
+            for row, values in columns.items():
+                metrics[(signature, row)] = values
+    else:
+        by_host: Dict[GraphSpec, List] = {}
+        for signature, group in groups.items():
+            by_host.setdefault(signature[1], []).append((signature, group))
+        for members in by_host.values():
+            try:
+                metrics.update(_host_group_metrics(state, members))
+            except Exception:  # noqa: BLE001 - groups fall back to the reference path
+                continue
 
     # ---------------------------------------------------------------- #
     # Pass 3: all simulation phases through one vectorized event loop.
@@ -266,7 +306,7 @@ def evaluate_shard_batched(
             job["scenario"].traffic, groups[job["signature"]]["guest"]
         )
         if status != "ok":
-            records[job["position"]] = SurveyRecord(
+            pending[job["position"]] = dict(
                 status="error", error=payload, **job["base"]
             )
         else:
@@ -289,8 +329,13 @@ def evaluate_shard_batched(
             outcomes[job["position"]] = result
 
     # ---------------------------------------------------------------- #
-    # Pass 4: assemble records column-wise, in scenario order.
+    # Pass 4: assemble records column-wise, in scenario order.  Each
+    # batched record carries the per-record share of the shard's time up
+    # to here; reference-path records keep their own timing.
     # ---------------------------------------------------------------- #
+    share = (time.perf_counter() - started) / max(len(scenarios), 1)
+    for position, columns in pending.items():
+        records[position] = SurveyRecord(elapsed_seconds=share, **columns)
     for signature, group in groups.items():
         for position, strategy, scenario, base in group["uses"]:
             if records[position] is not None:
@@ -311,6 +356,7 @@ def evaluate_shard_batched(
                     average_dilation=average,
                     congestion=congestion,
                     matches_prediction=embedding.matches_prediction(measured=dilation),
+                    elapsed_seconds=share,
                     **base,
                 )
                 continue
@@ -318,12 +364,16 @@ def evaluate_shard_batched(
             if outcome is None or isinstance(outcome, Exception):
                 if isinstance(outcome, UnsupportedEmbeddingError):
                     records[position] = SurveyRecord(
-                        status="unsupported", error=str(outcome), **base
+                        status="unsupported",
+                        error=str(outcome),
+                        elapsed_seconds=share,
+                        **base,
                     )
                 elif isinstance(outcome, Exception):
                     records[position] = SurveyRecord(
                         status="error",
                         error=f"{type(outcome).__name__}: {outcome}",
+                        elapsed_seconds=share,
                         **base,
                     )
                 else:  # no outcome recorded at all: reference path
@@ -344,13 +394,8 @@ def evaluate_shard_batched(
                 max_link_load=statistics.max_link_load_messages,
                 estimated_time=statistics.estimated_completion_time,
                 makespan=outcome.makespan,
+                elapsed_seconds=share,
                 **base,
             )
 
-    share = (time.perf_counter() - started) / max(len(scenarios), 1)
-    return [
-        record
-        if record.elapsed_seconds
-        else dataclasses.replace(record, elapsed_seconds=share)
-        for record in records
-    ]
+    return records

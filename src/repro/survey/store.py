@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -65,6 +67,9 @@ FIELDS = (
     "improved",
 )
 
+#: The :data:`FIELDS` values of a record, in order, in one C-level call.
+_field_values = operator.attrgetter(*FIELDS)
+
 
 @dataclass(frozen=True)
 class SurveyRecord:
@@ -108,40 +113,102 @@ class SurveyRecord:
     improved: Optional[bool] = None
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form in canonical key order (JSON object / CSV row)."""
-        data = asdict(self)
-        return {key: data[key] for key in FIELDS}
+        """Plain-dict form in canonical key order (JSON object / CSV row).
+
+        Every field is a scalar, so the fields are read directly rather than
+        deep-copied the way :func:`dataclasses.asdict` would.
+        """
+        return dict(zip(FIELDS, _field_values(self)))
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SurveyRecord":
         return cls(**{key: data.get(key) for key in FIELDS})  # type: ignore[arg-type]
 
 
+#: ``"key": `` prefixes of a record's lines inside the written document.
+_RECORD_KEYS = tuple(f"   {encode_basestring_ascii(key)}: " for key in FIELDS)
+
+
+def _json_float(value: float) -> str:
+    # float.__repr__ is json's own rendering of a finite float; json.dumps
+    # spells NaN and the infinities as json.dump does.
+    return float.__repr__(value) if value - value == 0.0 else json.dumps(value)
+
+
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+#: Exact type -> renderer of a scalar exactly as :func:`json.dump` renders it
+#: inside a document; any other type goes through :func:`json.dumps`.
+_JSON_SCALARS = {
+    type(None): _JSON_LITERALS.__getitem__,
+    bool: _JSON_LITERALS.__getitem__,
+    int: int.__repr__,
+    float: _json_float,
+    str: encode_basestring_ascii,
+}
+
+
+def _json_record(record: SurveyRecord) -> str:
+    """One record as the indented object :func:`json.dump` would write."""
+    encoded = [
+        _JSON_SCALARS.get(type(value), json.dumps)(value)
+        for value in _field_values(record)
+    ]
+    return "  {\n" + ",\n".join(map(operator.add, _RECORD_KEYS, encoded)) + "\n  }"
+
+
 def write_json(records: Sequence[SurveyRecord], path: PathLike) -> Path:
     """Write records as a JSON document (list of objects plus a count header).
+
+    The bytes equal ``json.dump(payload, handle, indent=1)`` plus a newline,
+    but records are encoded and written one at a time by a per-record
+    encoder rather than by the generic pure-Python indenting encoder.
 
     The write is atomic (temp file + ``os.replace``): a kill mid-write leaves
     the previous document intact instead of a torn shard that silently fails
     the resume check and costs a full recompute.
     """
     path = Path(path)
-    payload = {
-        "format": "repro-survey/1",
-        "count": len(records),
-        "records": [record.as_dict() for record in records],
-    }
     with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+        handle.write('{\n "format": "repro-survey/1",\n')
+        handle.write(f' "count": {len(records)},\n "records": [')
+        separator = "\n"
+        for record in records:
+            handle.write(separator)
+            handle.write(_json_record(record))
+            separator = ",\n"
+        handle.write("\n ]\n}\n" if records else "]\n}\n")
     return path
 
 
+def _checked_row(index: int, row: object) -> Dict[str, object]:
+    if not isinstance(row, dict):
+        raise ValueError(f"record {index} is not an object: {row!r}")
+    for key in ("scenario_id", "status"):
+        if key not in row:
+            raise ValueError(f"record {index} lacks {key!r}")
+    if row.get("elapsed_seconds") is None:
+        row = dict(row, elapsed_seconds=0.0)
+    return row
+
+
 def read_json(path: PathLike) -> List[SurveyRecord]:
-    """Read records written by :func:`write_json`."""
+    """Read records written by :func:`write_json`.
+
+    Raises :class:`ValueError` naming the offending row when ``records`` is
+    missing or not a list, a row is not an object, or a row lacks
+    ``scenario_id`` or ``status``.  A missing ``elapsed_seconds`` reads as
+    ``0.0``, as in :func:`read_csv`.
+    """
     with Path(path).open("r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    rows = payload["records"] if isinstance(payload, dict) else payload
-    return [SurveyRecord.from_dict(row) for row in rows]
+    rows = payload.get("records") if isinstance(payload, dict) else payload
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: 'records' is missing or not a list")
+    return [
+        SurveyRecord.from_dict(_checked_row(index, row))
+        for index, row in enumerate(rows)
+    ]
 
 
 def _csv_cell(value: object) -> object:

@@ -20,6 +20,8 @@ from repro.analysis.metrics import (
     average_dilation_cost,
     dilation_cost,
     edge_congestion_cost,
+    grouped_dilation_summary,
+    stacked_dilation_summary,
 )
 from repro.baselines.random_embedding import random_embedding
 from repro.core.dispatch import embed
@@ -203,3 +205,64 @@ class TestArrayRepresentation:
             node: outer.mapping[image] for node, image in inner.mapping.items()
         }
         assert composed.mapping == expected
+
+
+@st.composite
+def host_groups(draw):
+    """A host plus several guests of different shapes and kinds placed on it.
+
+    Each guest is the host shape reversed, flattened, unchanged or cut to a
+    prefix (a smaller guest); each placement is a seeded injective map into
+    the host, so rows differ in guest, edge count and image length.
+    """
+    host_shape = draw(small_shapes(max_dim=3, max_len=5))
+    host = make_graph(draw(graph_kinds), host_shape)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        variant = draw(st.integers(min_value=0, max_value=3))
+        if variant == 0:
+            guest_shape = tuple(reversed(host_shape))
+        elif variant == 1:
+            guest_shape = (host.size,)
+        elif variant == 2:
+            guest_shape = host_shape
+        else:
+            guest_shape = host_shape[: draw(st.integers(1, len(host_shape)))]
+        guest = make_graph(draw(graph_kinds), guest_shape)
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+        images = rng.choice(host.size, size=guest.size, replace=False)
+        edge_u, edge_v = guest.edge_index_arrays()
+        rows.append((images, edge_u, edge_v))
+    return host, rows
+
+
+class TestGroupedDilationSummary:
+    @given(host_groups())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_row_stacked_summary(self, group):
+        host, rows = group
+        dilation, average = grouped_dilation_summary(host, rows)
+        assert dilation.dtype == np.int64 and average.dtype == np.float64
+        for index, (images, edge_u, edge_v) in enumerate(rows):
+            expected_max, expected_mean = stacked_dilation_summary(
+                host, edge_u, edge_v, images[None, :]
+            )
+            assert dilation[index] == expected_max[0]
+            # Bit-for-bit, not approximately.
+            assert average[index].tobytes() == expected_mean[0].tobytes()
+
+    def test_rows_without_edges_read_zero(self):
+        host = Torus((2, 3))
+        empty = np.zeros(0, dtype=np.int64)
+        guest = Mesh((2, 3))
+        edge_u, edge_v = guest.edge_index_arrays()
+        images = np.arange(6)
+        rows = [(np.zeros(1, dtype=np.int64), empty, empty), (images, edge_u, edge_v)]
+        dilation, average = grouped_dilation_summary(host, rows)
+        expected_max, expected_mean = stacked_dilation_summary(
+            host, edge_u, edge_v, images[None, :]
+        )
+        assert dilation.tolist() == [0, int(expected_max[0])]
+        assert average.tolist() == [0.0, float(expected_mean[0])]
+        dilation, average = grouped_dilation_summary(host, rows[:1])
+        assert dilation.tolist() == [0] and average.tolist() == [0.0]

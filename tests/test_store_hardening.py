@@ -160,6 +160,64 @@ class TestTornShardRecovery:
         assert rerun.reused_shard_indices == list(range(shard_count))
 
 
+class TestCorruptShardRecovery:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"records": [1]}',
+            '{"records": "nope"}',
+            '{"format": "repro-survey/1"}',
+            '{"records": [{"scenario_id": "x"}]}',
+            '{"records": [{"status": "ok"}]}',
+        ],
+    )
+    def test_corrupt_shard_recomputed_and_sweep_finishes(self, tmp_path, payload):
+        scenarios = all_pairs(12)
+        options = SurveyOptions(workers=1, shard_size=5, shard_dir=str(tmp_path))
+        reference = run_survey(scenarios, options)
+        shard_count = len(reference.shard_paths)
+        (tmp_path / "shard-0000.json").write_text(payload, encoding="utf-8")
+        resumed = run_survey(scenarios, options)
+        assert resumed.reused_shard_indices == list(range(1, shard_count))
+        strip = lambda r: {**r.as_dict(), "elapsed_seconds": None}
+        assert [strip(r) for r in resumed.records] == [
+            strip(r) for r in reference.records
+        ]
+
+
+class TestReadJsonValidation:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"records": [1]}', "record 0 is not an object"),
+            ('{"records": [{"scenario_id": "a", "status": "ok"}, []]}', "record 1"),
+            ('{"records": {"scenario_id": "a"}}', "'records' is missing or not a list"),
+            ('{"count": 0}', "'records' is missing or not a list"),
+            ('{"records": [{"status": "ok"}]}', "record 0 lacks 'scenario_id'"),
+            ('{"records": [{"scenario_id": "a"}]}', "record 0 lacks 'status'"),
+        ],
+    )
+    def test_malformed_rows_raise_value_error(self, tmp_path, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_json(path)
+
+    def test_missing_elapsed_seconds_defaults_to_zero(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(
+            '{"records": [{"scenario_id": "a", "status": "ok", "nodes": 4}]}',
+            encoding="utf-8",
+        )
+        (record,) = read_json(path)
+        assert record.elapsed_seconds == 0.0 and record.nodes == 4
+
+    def test_bare_record_list_still_reads(self, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text('[{"scenario_id": "a", "status": "ok"}]', encoding="utf-8")
+        assert [r.scenario_id for r in read_json(path)] == ["a"]
+
+
 class TestTornCacheRecovery:
     def test_truncated_pickle_warns_and_starts_cold(self, tmp_path):
         path = tmp_path / "cache.pkl"

@@ -14,6 +14,7 @@ Two contracts are pinned here:
 """
 
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,38 @@ class TestBatchedRecordIdentity:
             evaluate_shard_batched(scenarios, options),
             [evaluate_scenario(s, options) for s in scenarios],
         )
+
+    def test_exhaustive_host_groups_identical(self):
+        # Up to 24 nodes one host carries up to 39 different guests; in a
+        # single shard without congestion, each host's rows share one
+        # grouped kernel call.
+        scenarios = scenarios_for_suite("exhaustive", max_nodes=24)
+        assert len(scenarios) == 2794
+        guests = defaultdict(set)
+        for s in scenarios:
+            guests[(s.host_kind, s.host_shape)].add((s.guest_kind, s.guest_shape))
+        assert max(len(group) for group in guests.values()) == 39
+        options = SurveyOptions(workers=1, shard_size=len(scenarios))
+        batched = run_batched(scenarios, options).records
+        assert_identical_records(batched, run_reference(scenarios, options).records)
+        assert any(r.status == "ok" for r in batched)
+
+    def test_failing_grouped_kernel_falls_back_to_reference(self, monkeypatch):
+        import repro.survey.batch as batch_module
+
+        calls = []
+
+        def broken(host, rows):
+            calls.append(host)
+            raise RuntimeError("grouped kernel unavailable")
+
+        monkeypatch.setattr(batch_module, "grouped_dilation_summary", broken)
+        scenarios = all_pairs(16)
+        options = SurveyOptions(workers=1)
+        batched = run_batched(scenarios, options).records
+        assert calls
+        assert_identical_records(batched, run_reference(scenarios, options).records)
+        assert any(r.status == "ok" for r in batched)
 
     def test_shard_resume_accepts_batched_shards(self, tmp_path):
         scenarios = all_pairs(12)[:6]
