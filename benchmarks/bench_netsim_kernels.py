@@ -1,12 +1,13 @@
-"""BENCH-NETSIM: vectorized simulation kernels vs the per-message loop.
+"""BENCH-NETSIM: vectorized simulation kernels vs the interpreted kernel tier.
 
 PR 2 made construction array-native; this benchmark guards the final scalar
 hot path — the network-simulation layer.  Survey-scale phases (4096-node
 hosts, thousands of messages across all three traffic patterns) are
-evaluated with both implementations of the analytic phase estimate:
+evaluated with both tiers of the analytic phase estimate:
 
-* ``use_context(backend="loop")`` — the retained per-message reference
-  (``route_message`` node-tuple paths, dict-keyed link loads);
+* ``use_context(backend="loop")`` — the interpreted kernel sources
+  (:mod:`repro.compiled.kernels_py`: per-hop ``expand_fill`` route
+  expansion, ``accumulate`` link loads and the heap ``drain``);
 * ``use_context(backend="array")`` — batched dimension-ordered routing over
   the flat directed-link id space plus ``np.bincount`` load accumulation
   (:mod:`repro.netsim.kernels`).

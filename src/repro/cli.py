@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         choices=BACKENDS,
-        help="runtime backend (array kernels vs per-message loop reference)",
+        help="runtime backend (array kernels vs the interpreted kernel tier)",
     )
     p_sim.add_argument(
         "--cache",

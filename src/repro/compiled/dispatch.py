@@ -1,23 +1,24 @@
 """Kernel-tier selection and the array-level facade the hot paths call.
 
-:func:`active_kernels` is the single question every hook site asks: *is the
-compiled backend in effect, and did a kernel tier actually load?*  It
-returns a :class:`KernelSet` (or ``None`` — the caller then runs its array
-path unchanged), so the four ported kernels degrade per call site with zero
-configuration:
+:func:`active_kernels` is the single question every hook site asks: *which
+kernel tier runs for the ambient backend?*  It returns a :class:`KernelSet`
+(or ``None`` — the caller then runs its array path unchanged):
 
-* the ambient context must resolve to ``backend="compiled"`` (the context
-  already warned and fell back to ``"array"`` when no toolchain exists, so
-  reaching a hook site under ``"compiled"`` normally implies a tier); and
-* the tier must load — Numba first, the C/cffi library second.  A tier
-  whose *load* fails (a broken numba install, a compiler that errors out)
-  is reported with one RuntimeWarning and blacklisted for the process, and
-  the next tier (or the array path) takes over.
+* ``backend="loop"`` runs the interpreted kernel sources
+  (:func:`interpreted_kernels`) — the per-hop reference the compiled tiers
+  are translated from;
+* ``backend="array"`` returns ``None``: the vectorized NumPy kernels run;
+* ``backend="compiled"`` runs the best tier that loads — Numba first, the
+  C/cffi library second.  The context already warned and fell back to
+  ``"array"`` when no toolchain exists, and a tier whose *load* fails (a
+  broken numba install, a compiler that errors out) is reported with one
+  RuntimeWarning and blacklisted for the process, so the next tier (or the
+  array path) takes over.
 
 :class:`KernelSet` owns every array-normalization detail — contiguity,
 ``int64``/``float64`` dtypes, scratch allocation — so the three tiers
-(numba, C, and the interpreted sources the tests drive) share one calling
-convention and the kernels themselves stay monomorphic.
+(numba, C, and the interpreted sources) share one calling convention and the
+kernels themselves stay monomorphic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..numbering.arrays import digit_weights
-from . import toolchain
+from . import kernels_py, toolchain
 from .kernels_py import KERNEL_NAMES
 
 __all__ = ["KernelSet", "active_kernels", "load_kernels", "interpreted_kernels"]
@@ -38,7 +39,7 @@ class KernelSet:
     """High-level entry points over one tier's kernel table.
 
     ``tier`` is ``"numba"``, ``"cffi"`` or ``"python"`` (the interpreted
-    sources, used by tests); ``table`` maps the names of
+    sources of the loop backend); ``table`` maps the names of
     :data:`~repro.compiled.kernels_py.KERNEL_NAMES` to callables with the
     ``kernels_py`` signatures.
     """
@@ -260,12 +261,16 @@ def load_kernels() -> Optional[KernelSet]:
 def active_kernels() -> Optional[KernelSet]:
     """The kernel set to use right now, honouring the ambient context.
 
-    ``None`` unless the resolved backend is ``"compiled"`` *and* a tier
-    loads — the hook sites treat ``None`` as "run the array path".
+    The interpreted tier under the loop backend, the loaded compiled tier
+    under ``"compiled"``, and ``None`` otherwise — the hook sites treat
+    ``None`` as "run the array path".
     """
     from ..runtime.context import current
 
-    if current().resolved_backend() != "compiled":
+    backend = current().resolved_backend()
+    if backend == "loop":
+        return interpreted_kernels()
+    if backend != "compiled":
         return None
     return load_kernels()
 
@@ -273,12 +278,11 @@ def active_kernels() -> Optional[KernelSet]:
 def interpreted_kernels() -> KernelSet:
     """The uncompiled kernel sources as a :class:`KernelSet`.
 
-    Slow — for differential tests only: it lets every environment (even one
-    with no toolchain at all) pin the shared kernel sources against the
-    array backend on small inputs.
+    This is the loop backend: the plain-Python sources the compiled tiers
+    are translated from, run as-is.  Slow, but runnable in every environment
+    (even one with no toolchain at all), so each kernel has one interpreted
+    reference that the array and compiled tiers are pinned against.
     """
-    from . import kernels_py
-
     return KernelSet(
         "python", {name: getattr(kernels_py, name) for name in KERNEL_NAMES}
     )

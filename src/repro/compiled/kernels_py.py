@@ -9,7 +9,7 @@ replaces, so the bit-for-bit differential contract of PRs 2–8 carries over:
 
 * :func:`drain` — the event loop of ``simulate_phases_rounds``: a binary
   min-heap of ``(ready_time, message_index)`` requests over preallocated CSR
-  route arrays, the verbatim semantics of the retained heap references
+  route arrays, the heap semantics the round loop reproduces
   (``start = max(ready, link_free)``, ``finish = start + occupancy``, FIFO
   per link with ties broken by message index);
 * :func:`expand_fill` — the per-hop body of CSR ``expand_routes``: walk each
@@ -25,10 +25,12 @@ replaces, so the bit-for-bit differential contract of PRs 2–8 carries over:
 * :func:`apply_moves` — the optimizer's 2-swap / segment-reversal move
   application over the population matrix.
 
-The functions are also *callable uncompiled* (they are ordinary Python), and
-``tests/test_compiled_backend.py`` runs them interpreted on small inputs in
-every environment — so even a lane with no toolchain at all pins these
-sources against the array backend.
+The functions are also *callable uncompiled* (they are ordinary Python):
+``backend="loop"`` runs ``drain``, ``expand_fill`` and ``accumulate``
+interpreted as the simulator's reference tier, and
+``tests/test_compiled_backend.py`` runs all five on small inputs in every
+environment — so even a lane with no toolchain at all pins these sources
+against the array backend.
 
 Status returns are ``int`` codes rather than exceptions (``nopython`` code
 raises poorly): ``0`` is success, ``1`` means the event budget was exceeded
@@ -218,10 +220,9 @@ def accumulate(
     """Fused per-link loads: counts, volume and busy time in one pass.
 
     Adds in ``(message, hop)`` order — the same sequential order the three
-    ``np.bincount`` scatter-adds (and the loop reference's dict updates)
-    accumulate, so the float sums agree bit for bit.  ``use_hop`` selects
-    the per-hop occupancy array (heterogeneous links) over the per-message
-    one.
+    ``np.bincount`` scatter-adds accumulate, so the float sums agree bit for
+    bit.  ``use_hop`` selects the per-hop occupancy array (heterogeneous
+    links) over the per-message one.
     """
     num_messages = starts.shape[0] - 1
     for index in range(num_messages):

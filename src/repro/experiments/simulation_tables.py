@@ -12,8 +12,8 @@ The strategy set is the runtime's plugin registry
 (:mod:`repro.runtime.registry`) — the same competitors the ``simulation``
 survey suite sweeps and the CLI compares — and every row generator resolves
 its backend from the ambient execution context, so the experiment can be
-pinned against either the array kernels or the loop reference by wrapping a
-call in ``use_context(backend=...)`` (they agree exactly; the golden fixture
+pinned against either the array kernels or the interpreted kernel tier by
+wrapping a call in ``use_context(backend=...)`` (they agree exactly; the golden fixture
 ``tests/golden/tab_sim_map.json`` pins the table).
 """
 

@@ -43,21 +43,15 @@ def dimension_order_path(
     graph: CartesianGraph,
     source: Sequence[int],
     target: Sequence[int],
-    *,
-    validate: bool = True,
 ) -> List[Node]:
     """A shortest path from ``source`` to ``target`` using dimension-ordered routing.
 
     The returned list starts with ``source`` and ends with ``target``; its
     length minus one equals ``graph.distance(source, target)``.
-
-    ``validate=False`` skips the endpoint membership checks for callers that
-    already validated them (e.g. the network simulator, whose endpoints all
-    pass through pattern placement once per phase).
     """
     source = tuple(source)
     target = tuple(target)
-    if validate and not (graph.contains(source) and graph.contains(target)):
+    if not (graph.contains(source) and graph.contains(target)):
         raise InvalidShapeError("path endpoints must be nodes of the graph")
     path: List[Node] = [source]
     current = list(source)

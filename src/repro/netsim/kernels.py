@@ -1,9 +1,6 @@
-"""Vectorized network-simulation kernels: batched routing and link loads.
+"""Network-simulation kernels: batched routing and link loads.
 
-The per-message reference path (:func:`repro.netsim.routing.route_message`)
-builds node-tuple paths one hop at a time; at survey scale that per-hop
-Python dominates the whole simulation layer.  This module rebuilds the hot
-path on flat ``int64`` arrays:
+The simulator works on flat ``int64`` arrays rather than node-tuple paths:
 
 * :class:`LinkIndexSpace` — a flat index space for the *directed* links of a
   torus/mesh: link ``(dimension j, direction ±1, source rank r)`` gets the id
@@ -11,14 +8,18 @@ path on flat ``int64`` arrays:
   arrays instead of dicts keyed by ``(node, node)`` tuples;
 * :func:`expand_routes` — batched dimension-ordered routing: per-dimension
   signed offsets (:func:`repro.numbering.arrays.signed_offset_digits`, torus
-  wraparound included) expanded into a CSR-style array of per-hop link ids,
-  with no per-hop Python;
+  wraparound included) expanded into a CSR-style array of per-hop link ids;
 * :func:`accumulate_link_loads` — message counts, byte volume and busy time
-  per directed link via ``np.bincount`` scatter-adds over the expanded hops.
+  per directed link, scatter-added over the expanded hops.
 
-Everything here reproduces the loop reference *exactly* — same hop order,
-same tie-breaks, bit-for-bit equal link statistics — which the differential
-tests in ``tests/test_netsim_kernels.py`` assert node-for-node.
+Each stage asks :func:`repro.compiled.dispatch.active_kernels` for its tier:
+the array backend runs the ``repeat``/``cumsum``/``np.bincount`` bodies
+below, the loop backend the interpreted per-hop sources of
+:mod:`repro.compiled.kernels_py`, and the compiled backend their JIT
+translations.  Every tier produces the same hop order and bit-for-bit equal
+link statistics, and ``tests/test_netsim_kernels.py`` checks the routes
+node-for-node against the per-message oracle
+:func:`repro.netsim.routing.route_message`.
 """
 
 from __future__ import annotations
@@ -168,8 +169,9 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
 
     kernels = active_kernels()
     if kernels is not None:
-        # Compiled backend: one JIT pass fills the CSR hops directly from the
-        # signed offsets (all-integer — identical ids, element for element).
+        # Loop or compiled backend: one kernel pass fills the CSR hops
+        # directly from the signed offsets (all-integer — identical ids,
+        # element for element).
         link_ids = kernels.expand_link_ids(
             src_digits, offsets, starts, shape, space.num_nodes, space.is_torus
         )
@@ -206,40 +208,41 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
 
 
 def accumulate_link_loads(
-    space: LinkIndexSpace, routes: RouteArrays, sizes, occupancy, *, hop_occupancy=None
+    num_slots: int, routes: RouteArrays, sizes, occupancy, *, hop_occupancy=None
 ):
     """Per-directed-link message counts, volume and busy time.
 
     ``sizes`` and ``occupancy`` are per-*message* arrays; each is repeated
-    over its message's hops and scatter-added onto the flat link id space
-    with ``np.bincount`` (additions happen in ``(message, hop)`` order, the
-    same order the loop reference accumulates its dicts, so the float sums
-    agree bit for bit).  ``hop_occupancy`` (aligned with ``link_ids``)
-    overrides the repeated per-message occupancy for heterogeneous links,
-    where each hop's busy time carries its own link weight.  Returns
-    ``(counts, volume, busy)`` arrays of length
-    :attr:`LinkIndexSpace.num_slots`.
+    over its message's hops and scatter-added onto ``num_slots`` link-id bins
+    (:attr:`LinkIndexSpace.num_slots` for one phase; a multiple of it for
+    phases merged with offset link ids).  The array tier scatters with
+    ``np.bincount``; the loop and compiled tiers run the fused
+    :func:`repro.compiled.kernels_py.accumulate`.  Every tier adds in
+    ``(message, hop)`` order, so the float sums agree bit for bit.
+    ``hop_occupancy`` (aligned with ``link_ids``) overrides the repeated
+    per-message occupancy for heterogeneous links, where each hop's busy
+    time carries its own link weight.  Returns ``(counts, volume, busy)``
+    arrays of length ``num_slots``.
     """
-    slots = space.num_slots
     kernels = active_kernels()
     if kernels is not None:
-        # Compiled backend: fused single-pass accumulation, adding in the
-        # same (message, hop) order as the bincount scatter-adds.
+        # Loop or compiled backend: fused single-pass accumulation, adding
+        # in the same (message, hop) order as the bincount scatter-adds.
         return kernels.link_loads(
-            slots,
+            num_slots,
             routes.starts,
             routes.link_ids,
             np.asarray(sizes, dtype=np.float64),
             np.asarray(occupancy, dtype=np.float64),
             hop_occupancy=hop_occupancy,
         )
-    counts = np.bincount(routes.link_ids, minlength=slots)
+    counts = np.bincount(routes.link_ids, minlength=num_slots)
     volume = np.bincount(
-        routes.link_ids, weights=np.repeat(sizes, routes.hops), minlength=slots
+        routes.link_ids, weights=np.repeat(sizes, routes.hops), minlength=num_slots
     )
     if hop_occupancy is None:
         hop_occupancy = np.repeat(occupancy, routes.hops)
-    busy = np.bincount(routes.link_ids, weights=hop_occupancy, minlength=slots)
+    busy = np.bincount(routes.link_ids, weights=hop_occupancy, minlength=num_slots)
     return counts, volume, busy
 
 
@@ -278,10 +281,10 @@ def apply_fault_detours(
     The batched dimension-ordered expansion stays untouched for unaffected
     messages; cut messages (detected with one mask gather over the expanded
     hops) are re-routed through the *same* deterministic
-    :meth:`~repro.graphs.faults.Faults.shortest_detour` the loop backend
-    uses, so both backends traverse identical link sequences.  A dead
-    endpoint, or a disconnected pair, raises
-    :class:`~repro.exceptions.SimulationError`.
+    :meth:`~repro.graphs.faults.Faults.shortest_detour` the per-message
+    oracle :func:`~repro.netsim.routing.route_message` uses, so both
+    traverse identical link sequences.  A dead endpoint, or a disconnected
+    pair, raises :class:`~repro.exceptions.SimulationError`.
 
     The returned ``offsets`` are carried over unchanged (they describe the
     pristine dimension-ordered plan); ``hops``/``starts``/``link_ids``

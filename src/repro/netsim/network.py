@@ -57,12 +57,6 @@ class HostNetwork:
         """The per-link latency weight spec, or ``None`` for uniform links."""
         return self._link_weights
 
-    def link_weight(self, source: Node, target: Node) -> float:
-        """Latency multiplier of one directed link (1.0 when unweighted)."""
-        if self._link_weights is None:
-            return 1.0
-        return self._link_weights.weight_of(self._topology, source, target)
-
     def link_weight_array(self):
         """Per-slot weights over the link-index space, or ``None`` (cached)."""
         if self._link_weights is None:

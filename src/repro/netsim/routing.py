@@ -12,6 +12,10 @@ route while that route survives; a route cut by a dead link or node falls
 back to the deterministic shortest BFS detour over the surviving links
 (:meth:`~repro.graphs.faults.Faults.shortest_detour`) — the standard
 "fault-tolerant e-cube with table fallback" discipline.
+
+:func:`route_message` builds one message's node-tuple route at a time.  The
+simulator routes whole phases with the batched kernels of
+:mod:`repro.netsim.kernels`; this module is their independent oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ __all__ = ["route_message"]
 
 
 def _detour_links(network: HostNetwork, faults: Faults, source: Node, destination: Node):
-    """The BFS-detour route as node-tuple links (loop reference form)."""
+    """The BFS-detour route as node-tuple links."""
     topology = network.topology
     ranks = faults.shortest_detour(
         topology.node_index(source), topology.node_index(destination)
@@ -47,7 +51,6 @@ def route_message(
     source: Node,
     destination: Node,
     *,
-    validate: bool = True,
     faults: Optional[Faults] = None,
 ) -> List[DirectedLink]:
     """The ordered list of directed links a message traverses.
@@ -55,19 +58,12 @@ def route_message(
     An empty list means source and destination are the same processor (the
     message needs no network resources).
 
-    ``validate=False`` skips the endpoint membership checks.  The simulator
-    passes it for endpoints that already went through pattern placement
-    (:meth:`repro.netsim.traffic.TrafficPattern.placed` validates every
-    endpoint once per phase), so the per-message hot loop no longer
-    re-validates both endpoints on every call.
-
     With ``faults``, a dimension-ordered route that only uses surviving
     links is kept unchanged; a cut route is replaced by the BFS detour.  A
     dead endpoint raises :class:`~repro.exceptions.SimulationError`.
     """
-    if validate:
-        network.validate_processor(source)
-        network.validate_processor(destination)
+    network.validate_processor(source)
+    network.validate_processor(destination)
     topology = network.topology
     if faults is not None:
         if not faults.node_alive(topology.node_index(source)) or not faults.node_alive(
@@ -76,7 +72,7 @@ def route_message(
             raise SimulationError(
                 f"a message endpoint ({source!r} or {destination!r}) is a dead node"
             )
-    path = dimension_order_path(topology, source, destination, validate=validate)
+    path = dimension_order_path(topology, source, destination)
     links = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
     if faults is None:
         return links

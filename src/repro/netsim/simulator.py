@@ -15,26 +15,29 @@ its endpoints under the supplied embedding, so the guest-edge hop counts are
 bounded by the embedding's dilation — the mechanism by which the paper's
 low-dilation embeddings translate into faster communication phases.
 
-Both evaluations resolve their implementation from the ambient execution
-context (:mod:`repro.runtime.context`), the same switch as the construction
-builders and cost measures: the array backend batches the routing and the
-link-load accumulation over flat directed-link ids
-(:mod:`repro.netsim.kernels`) and keys the event loop by link id over
-preallocated route arrays; the loop backend is the retained per-message
-reference, cross-checked hop-for-hop and float-for-float by the
-differential tests.  Force it with ``use_context(backend="loop")``.
+Both evaluations run one pipeline: the routing and the link-load
+accumulation are batched over flat directed-link ids
+(:mod:`repro.netsim.kernels`) and the event loop is keyed by link id over
+preallocated route arrays.  The ambient execution context
+(:mod:`repro.runtime.context`) picks the kernel tier each stage runs on: the
+array backend runs the vectorized NumPy kernels and the round-based event
+loop; the loop backend runs the interpreted kernel sources
+(:mod:`repro.compiled.kernels_py`, the heap ``drain`` among them), which the
+differential tests cross-check hop-for-hop and float-for-float.  Force it
+with ``use_context(backend="loop")``.  The per-message
+:func:`~repro.netsim.routing.route_message` stays as the independent routing
+oracle of those tests.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..compiled.dispatch import active_kernels
-from ..core.embedding import Embedding, use_array_path
+from ..core.embedding import Embedding
 from ..exceptions import SimulationError
 from ..numbering.arrays import indices_to_digits
 from .kernels import (
@@ -43,8 +46,7 @@ from .kernels import (
     apply_fault_detours,
     expand_routes,
 )
-from .network import DirectedLink, HostNetwork
-from .routing import route_message
+from .network import HostNetwork
 from .traffic import TrafficPattern
 
 __all__ = [
@@ -103,28 +105,6 @@ def _check_topology(network: HostNetwork, embedding: Embedding) -> None:
         )
 
 
-def _routes_for(
-    network: HostNetwork, embedding: Embedding, traffic: TrafficPattern, faults=None
-) -> List[Tuple[List[DirectedLink], float]]:
-    """Per-message loop reference: placed endpoints routed one message at a time.
-
-    Endpoint validation happened in :meth:`TrafficPattern.placed`, so the
-    per-message routing trusts the placed endpoints (``validate=False``).
-    """
-    _check_topology(network, embedding)
-    routes: List[Tuple[List[DirectedLink], float]] = []
-    for source, destination, size in traffic.placed(embedding):
-        routes.append(
-            (
-                route_message(
-                    network, source, destination, validate=False, faults=faults
-                ),
-                size,
-            )
-        )
-    return routes
-
-
 def _check_faults(network: HostNetwork, faults) -> None:
     if faults is not None and faults.graph != network.topology:
         raise SimulationError(
@@ -133,13 +113,21 @@ def _check_faults(network: HostNetwork, faults) -> None:
         )
 
 
-def _phase_arrays_from_ranks(
-    network: HostNetwork, embedding: Embedding, source_ranks, target_ranks, sizes,
-    faults=None,
+def _phase_arrays(
+    network: HostNetwork, embedding: Embedding, traffic: TrafficPattern, faults=None
 ):
-    """Routed and priced phase data from already-placed guest endpoint ranks."""
+    """Placed, routed and priced data of one phase.
+
+    Returns ``(space, routes, sizes, occupancy, hop_occupancy)`` — the
+    directed-link id space, the CSR route arrays (fault detours applied),
+    the per-message size / link-occupancy arrays, and the per-hop occupancy
+    (``None`` for homogeneous links, where the per-message value repeats).
+    """
     _check_topology(network, embedding)
     _check_faults(network, faults)
+    source_ranks, target_ranks, sizes = traffic.endpoint_rank_arrays(
+        embedding.guest.shape
+    )
     images = embedding.host_index_array()
     host_shape = network.topology.shape
     space = network.link_index_space()
@@ -152,30 +140,13 @@ def _phase_arrays_from_ranks(
     )
     if faults is not None:
         routes = apply_fault_detours(space, routes, faults, source_images, target_images)
-    # CostModel.link_occupancy is pure arithmetic, so it vectorizes as-is:
-    # one source of truth for the per-hop cost on both backend paths.
+    # CostModel.link_occupancy is pure arithmetic, so it vectorizes as-is.
     occupancy = network.cost_model.link_occupancy(sizes)
     weights = network.link_weight_array()
     hop_occupancy = None
     if weights is not None:
         hop_occupancy = np.repeat(occupancy, routes.hops) * weights[routes.link_ids]
     return space, routes, sizes, occupancy, hop_occupancy
-
-
-def _phase_arrays(
-    network: HostNetwork, embedding: Embedding, traffic: TrafficPattern, faults=None
-):
-    """Placed, routed and priced phase data for the vectorized paths.
-
-    Returns ``(space, routes, sizes, occupancy, hop_occupancy)`` — the
-    directed-link id space, the CSR route arrays (fault detours applied),
-    the per-message size / link-occupancy arrays, and the per-hop occupancy
-    (``None`` for homogeneous links, where the per-message value repeats).
-    """
-    source_ranks, target_ranks, sizes = traffic.endpoint_rank_arrays(embedding.guest.shape)
-    return _phase_arrays_from_ranks(
-        network, embedding, source_ranks, target_ranks, sizes, faults=faults
-    )
 
 
 def _statistics_from_link_loads(
@@ -201,8 +172,7 @@ def _statistics_from_link_loads(
         max_uncontended = float((hops * occupancy).max())
     else:
         # Heterogeneous links: a message's uncontended time is the sum of its
-        # per-hop occupancies.  bincount adds in hop order, matching the loop
-        # reference's sequential accumulation float for float.
+        # per-hop occupancies, added in hop order.
         message_of_hop = np.repeat(np.arange(num_messages, dtype=np.int64), hops)
         max_uncontended = float(
             np.bincount(
@@ -226,11 +196,11 @@ def _statistics_from_link_loads(
 def _statistics_from_arrays(
     space, routes, sizes, occupancy, hop_occupancy=None
 ) -> PhaseStatistics:
-    """Fully vectorized analytic statistics (no per-message Python)."""
+    """Analytic statistics of one expanded phase."""
     if routes.num_messages == 0:
         return _statistics_from_link_loads(routes, occupancy, None, None, None)
     counts, volume, busy = accumulate_link_loads(
-        space, routes, sizes, occupancy, hop_occupancy=hop_occupancy
+        space.num_slots, routes, sizes, occupancy, hop_occupancy=hop_occupancy
     )
     return _statistics_from_link_loads(
         routes, occupancy, counts, volume, busy, hop_occupancy=hop_occupancy
@@ -246,74 +216,17 @@ def analytic_phase_estimate(
 ) -> PhaseStatistics:
     """Hop counts, link loads and the standard completion-time lower bound.
 
-    The array backend accumulates every per-link quantity with one
-    ``np.bincount`` scatter-add over the flat directed-link id space; the
-    loop backend is the retained per-message reference.  Both produce
-    identical statistics (the scatter-add visits hops in the same
-    ``(message, hop)`` order the loop adds them, so even the float sums
-    agree bit for bit).
+    Every per-link quantity is accumulated in one scatter-add over the flat
+    directed-link id space (:func:`~repro.netsim.kernels.accumulate_link_loads`),
+    on the kernel tier the ambient backend selects.  Every tier adds in the
+    same ``(message, hop)`` order, so even the float sums agree bit for bit.
 
     With ``faults`` (a materialized :class:`~repro.graphs.faults.Faults` of
     the host topology), cut routes take their BFS detours; heterogeneous
     per-link weights come from the network's ``link_weights`` spec.
     """
-    if use_array_path():
-        return _statistics_from_arrays(
-            *_phase_arrays(network, embedding, traffic, faults=faults)
-        )
-    _check_faults(network, faults)
-    return _statistics_from_routes(
-        network.cost_model,
-        _routes_for(network, embedding, traffic, faults=faults),
-        link_weight=network.link_weight if network.link_weights is not None else None,
-    )
-
-
-def _statistics_from_routes(model, routes, link_weight=None) -> PhaseStatistics:
-    """Loop-reference analytic statistics over per-message route lists.
-
-    ``link_weight`` (a ``(source, target) -> float`` callable, or ``None``)
-    prices heterogeneous links: each hop's occupancy is the model occupancy
-    times its link's weight, and a message's uncontended time accumulates
-    hop by hop.
-    """
-    link_messages: Dict[DirectedLink, int] = {}
-    link_volume: Dict[DirectedLink, float] = {}
-    link_busy: Dict[DirectedLink, float] = {}
-    total_hops = 0
-    max_hops = 0
-    max_uncontended = 0.0
-    for links, size in routes:
-        hops = len(links)
-        total_hops += hops
-        max_hops = max(max_hops, hops)
-        if link_weight is None:
-            max_uncontended = max(max_uncontended, model.uncontended_time(size, hops))
-            for link in links:
-                link_messages[link] = link_messages.get(link, 0) + 1
-                link_volume[link] = link_volume.get(link, 0.0) + size
-                link_busy[link] = link_busy.get(link, 0.0) + model.link_occupancy(size)
-        else:
-            uncontended = 0.0
-            for link in links:
-                occupancy = model.link_occupancy(size) * link_weight(*link)
-                uncontended += occupancy
-                link_messages[link] = link_messages.get(link, 0) + 1
-                link_volume[link] = link_volume.get(link, 0.0) + size
-                link_busy[link] = link_busy.get(link, 0.0) + occupancy
-            max_uncontended = max(max_uncontended, uncontended)
-    num_messages = len(routes)
-    max_link_busy = max(link_busy.values(), default=0.0)
-    return PhaseStatistics(
-        num_messages=num_messages,
-        total_hops=total_hops,
-        max_hops=max_hops,
-        mean_hops=total_hops / num_messages if num_messages else 0.0,
-        max_link_load_messages=max(link_messages.values(), default=0),
-        max_link_load_volume=max(link_volume.values(), default=0.0),
-        max_link_busy_time=max_link_busy,
-        max_uncontended_message_time=max_uncontended,
-        estimated_completion_time=max(max_link_busy, max_uncontended),
+    return _statistics_from_arrays(
+        *_phase_arrays(network, embedding, traffic, faults=faults)
     )
 
 
@@ -321,19 +234,12 @@ def simulate_phases(phase_inputs, *, max_events: int = 5_000_000) -> List[Simula
     """Simulate many placed phases, sharing one vectorized event loop.
 
     ``phase_inputs`` is a sequence of ``(network, embedding, traffic)``
-    triples.  Under the array backend every phase is expanded once and all of
-    them advance together through :func:`simulate_phases_rounds` (their link
-    id blocks are disjoint, so the merged loop is exactly the per-phase
-    results — it only amortizes the per-round Python overhead); under the
-    loop backend the phases are simulated one by one with the reference
-    implementation.  Either way the results equal
+    triples.  Every phase is expanded once and all of them advance together
+    through :func:`simulate_phases_rounds` (their link id blocks are
+    disjoint, so the merged loop is exactly the per-phase results — it only
+    amortizes the per-round overhead).  The results equal
     ``[simulate_phase(*p) for p in phase_inputs]`` field for field.
     """
-    if not use_array_path():
-        return [
-            simulate_phase(network, embedding, traffic, max_events=max_events)
-            for network, embedding, traffic in phase_inputs
-        ]
     expanded = [
         _phase_arrays(network, embedding, traffic)
         for network, embedding, traffic in phase_inputs
@@ -375,8 +281,8 @@ def simulate_endpoint_phases(
     routes in a single :func:`~repro.netsim.kernels.expand_routes` call
     (``expand_routes`` is row-wise, so a concatenated batch expands to the
     concatenation of the per-phase expansions), and every phase advances
-    through one shared round loop.  Array kernels only — the results equal
-    ``simulate_phase`` over the equivalent patterns field for field.
+    through one shared round loop.  The results equal ``simulate_phase``
+    over the equivalent patterns field for field.
     """
     groups: Dict[int, Dict] = {}  # one entry per distinct link-index space
     priced: List = [None] * len(phases)
@@ -418,33 +324,32 @@ def simulate_endpoint_phases(
             )
             lower = upper
         # Per-phase link-load statistics from the merged expansion: one
-        # scatter-add per quantity for the whole group, phases separated by
-        # slot-block offsets.  Each phase's hops are contiguous in the
-        # merged arrays and keep their (message, hop) order, so every
-        # (phase, link) bin receives exactly the adds — in exactly the order
-        # — of the per-phase `accumulate_link_loads` scatter, and the float
-        # sums stay bit-for-bit equal.
+        # accumulation for the whole group, phases separated by slot-block
+        # offsets.  Each phase's hops are contiguous in the merged arrays and
+        # keep their (message, hop) order, so every (phase, link) bin receives
+        # exactly the adds — in exactly the order — of a per-phase
+        # accumulation, and the float sums stay bit-for-bit equal.
         slots = space.num_slots
         message_counts = np.asarray([src.size for _, src, _ in items], dtype=np.int64)
         phase_of_hop = np.repeat(
             np.repeat(np.arange(len(items), dtype=np.int64), message_counts),
             merged.hops,
         )
-        grouped_ids = merged.link_ids + phase_of_hop * slots
-        length = len(items) * slots
-        sizes_of_hop = np.repeat(
-            np.concatenate([priced[index][0] for index, _s, _d in items]), merged.hops
+        grouped = RouteArrays(
+            offsets=merged.offsets,
+            hops=merged.hops,
+            starts=merged.starts,
+            link_ids=merged.link_ids + phase_of_hop * slots,
         )
-        occupancy_of_hop = np.repeat(
-            np.concatenate([priced[index][1] for index, _s, _d in items]), merged.hops
+        counts, volume, busy = (
+            loads.reshape(-1, slots)
+            for loads in accumulate_link_loads(
+                len(items) * slots,
+                grouped,
+                np.concatenate([priced[index][0] for index, _s, _d in items]),
+                np.concatenate([priced[index][1] for index, _s, _d in items]),
+            )
         )
-        counts = np.bincount(grouped_ids, minlength=length).reshape(-1, slots)
-        volume = np.bincount(
-            grouped_ids, weights=sizes_of_hop, minlength=length
-        ).reshape(-1, slots)
-        busy = np.bincount(
-            grouped_ids, weights=occupancy_of_hop, minlength=length
-        ).reshape(-1, slots)
         for position, (index, _src, _dst) in enumerate(items):
             statistics[index] = _statistics_from_link_loads(
                 routes[index],
@@ -472,15 +377,6 @@ def simulate_endpoint_phases(
     ]
 
 
-@dataclass(order=True)
-class _LinkRequest:
-    """A pending hop of a message, ordered for deterministic scheduling."""
-
-    ready_time: float
-    message_index: int
-    hop_index: int = field(compare=False)
-
-
 def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     """Round-based vectorized event loop over one or many expanded phases.
 
@@ -505,13 +401,13 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     and each link's queue is drained one *queue position* per inner step
     (``start = max(ready, link_free)``, the same float ops in the same
     order), so makespans and completion times are bit-for-bit identical to
-    the heap loops.  Degenerate cases where the window collapses (zero
+    the heap drain.  Degenerate cases where the window collapses (zero
     occupancy, or times too large for the sum to round up) fall back to
     serving exactly one request — the global ``(ready, index)`` minimum —
     per round, which is verbatim heap order.
 
     The ``max_events`` budget is enforced per phase (an event is one served
-    hop, as in the heap loops); exceeding it raises
+    hop, as in the heap drain); exceeding it raises
     :class:`~repro.exceptions.SimulationError` for the whole call.
     """
     makespans = [0.0] * len(phases)
@@ -551,9 +447,9 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
 
     kernels = active_kernels()
     if kernels is not None:
-        # Compiled backend: the whole drain is one JIT kernel call over the
-        # merged arrays — same heap order, same float ops, bit-for-bit equal
-        # completion times (tests/test_compiled_backend.py pins it).
+        # Loop or compiled backend: the whole drain is one heap-kernel call
+        # over the merged arrays (interpreted or JIT) — same float ops,
+        # bit-for-bit equal completion times.
         status, completion, _events = kernels.drain(
             first_hop,
             last_hop,
@@ -699,73 +595,25 @@ def simulate_phase(
     Placement and routing are shared between the analytic statistics and
     the event loop, so each phase expands its routes exactly once.  The
     array backend advances the phase with the round-based vectorized event
-    loop (:func:`simulate_phases_rounds`); the heap loops — the interpreted
-    kernel :func:`repro.compiled.kernels_py.drain` over flat link ids, and
-    the node-tuple loop backend — are its cross-checked references.
+    loop (:func:`simulate_phases_rounds`); the loop backend drains it with
+    the interpreted heap kernel :func:`repro.compiled.kernels_py.drain`,
+    the round loop's cross-checked reference.
 
     ``faults`` (a materialized :class:`~repro.graphs.faults.Faults` of the
     host topology) reroutes cut messages over BFS detours; heterogeneous
     per-link weights come from the network's ``link_weights`` spec and
     scale each hop's occupancy.
     """
-    if use_array_path():
-        space, expanded, sizes, occupancy, hop_occupancy = _phase_arrays(
-            network, embedding, traffic, faults=faults
-        )
-        ((makespan, completion),) = simulate_phases_rounds(
-            [(space, expanded, occupancy, hop_occupancy)], max_events=max_events
-        )
-        return SimulationResult(
-            makespan=makespan,
-            statistics=_statistics_from_arrays(
-                space, expanded, sizes, occupancy, hop_occupancy
-            ),
-            per_message_completion=tuple(completion),
-        )
-
-    _check_faults(network, faults)
-    model = network.cost_model
-    link_weight = network.link_weight if network.link_weights is not None else None
-    routes = _routes_for(network, embedding, traffic, faults=faults)
-    statistics = _statistics_from_routes(model, routes, link_weight=link_weight)
-    link_free_at: Dict[DirectedLink, float] = {}
-    completion = [0.0] * len(routes)
-
-    # Event queue of pending hop requests.
-    queue: List[_LinkRequest] = []
-    for index, (links, _size) in enumerate(routes):
-        if links:
-            heapq.heappush(queue, _LinkRequest(0.0, index, 0))
-        else:
-            completion[index] = 0.0
-
-    events = 0
-    while queue:
-        events += 1
-        if events > max_events:
-            raise SimulationError(
-                f"simulation exceeded {max_events} events; the configuration is too large"
-            )
-        request = heapq.heappop(queue)
-        links, size = routes[request.message_index]
-        link = links[request.hop_index]
-        start = max(request.ready_time, link_free_at.get(link, 0.0))
-        if link_weight is None:
-            finish = start + model.link_occupancy(size)
-        else:
-            finish = start + model.link_occupancy(size) * link_weight(*link)
-        link_free_at[link] = finish
-        if request.hop_index + 1 < len(links):
-            heapq.heappush(
-                queue,
-                _LinkRequest(finish, request.message_index, request.hop_index + 1),
-            )
-        else:
-            completion[request.message_index] = finish
-
-    makespan = max(completion, default=0.0)
+    space, expanded, sizes, occupancy, hop_occupancy = _phase_arrays(
+        network, embedding, traffic, faults=faults
+    )
+    ((makespan, completion),) = simulate_phases_rounds(
+        [(space, expanded, occupancy, hop_occupancy)], max_events=max_events
+    )
     return SimulationResult(
         makespan=makespan,
-        statistics=statistics,
+        statistics=_statistics_from_arrays(
+            space, expanded, sizes, occupancy, hop_occupancy
+        ),
         per_message_completion=tuple(completion),
     )

@@ -27,12 +27,7 @@ import numpy as np
 from ..core.embedding import Embedding
 from ..exceptions import SimulationError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import (
-    digit_weights,
-    digits_to_indices,
-    indices_to_digits,
-)
-from ..runtime.context import use_array_path
+from ..numbering.arrays import digit_weights, digits_to_indices
 from ..runtime.registry import register_traffic, traffic_names as _registered_names
 from ..types import Node, Shape
 
@@ -91,8 +86,8 @@ class TrafficPattern:
         Returns ``(source_ranks, target_ranks, sizes)`` — ``int64`` natural
         order ranks in the guest base plus a ``float64`` size array.  All
         endpoint validation of a phase happens *here*, once per pattern
-        placement; the per-message routing paths downstream trust the placed
-        endpoints (see :func:`repro.netsim.routing.route_message`).  The
+        placement; the routing kernels downstream trust the placed endpoints
+        (see :func:`repro.netsim.kernels.expand_routes`).  The
         converted arrays are cached on the (immutable) pattern, so placing
         the same pattern under several embeddings — the survey and CLI
         comparison loops — converts and validates the messages only once.
@@ -130,26 +125,11 @@ class TrafficPattern:
     def placed(self, embedding: Embedding) -> List[tuple[Node, Node, float]]:
         """Translate task endpoints to processors via the embedding.
 
-        Under the array backend the translation is one batched gather
-        through the embedding's flat host-index array (guest tuples -> ranks
-        -> image ranks -> host tuples), so array-built embeddings are placed
-        without ever materializing their tuple ``mapping`` dict; the loop
-        backend looks each endpoint up in the dict individually.
+        Each endpoint is looked up in the embedding's tuple mapping, one
+        message at a time — the node-tuple form that tests pair with
+        :func:`~repro.netsim.routing.route_message` as an oracle independent
+        of the simulator's rank arrays.
         """
-        if use_array_path() and self.messages:
-            source_ranks, target_ranks, _sizes = self.endpoint_rank_arrays(
-                embedding.guest.shape
-            )
-            images = embedding.host_index_array()
-            host_shape = embedding.host.shape
-            placed_sources = indices_to_digits(images[source_ranks], host_shape)
-            placed_targets = indices_to_digits(images[target_ranks], host_shape)
-            return [
-                (tuple(source), tuple(target), message.size)
-                for source, target, message in zip(
-                    placed_sources.tolist(), placed_targets.tolist(), self.messages
-                )
-            ]
         return [
             (embedding[message.source], embedding[message.destination], message.size)
             for message in self.messages

@@ -13,8 +13,8 @@ latency multiplier: a message's per-hop occupancy becomes
 ``random``
     ``1 + scale * u`` with ``u ∈ [0, 1)`` drawn per link id from a
     splitmix64-style integer hash of ``(link id, seed)`` — heterogeneous
-    links with no RNG state, so the scalar (loop) and vectorized (array)
-    evaluations are bit-for-bit identical by construction.
+    links with no RNG state, so the scalar and vectorized evaluations are
+    bit-for-bit identical by construction.
 
 Weights are keyed by the flat directed-link id of
 :class:`~repro.netsim.kernels.LinkIndexSpace` (``(2j + [dir<0])·n + rank``),
@@ -44,8 +44,9 @@ _SCALE = 2.0**-64
 def directed_slot_id(topology: CartesianGraph, source: Node, target: Node) -> int:
     """The flat directed-link id of the hop ``source -> target`` (pure Python).
 
-    Mirrors the :class:`~repro.netsim.kernels.LinkIndexSpace` layout without
-    requiring NumPy, so the loop backend can price weighted hops.
+    Mirrors the :class:`~repro.netsim.kernels.LinkIndexSpace` layout for one
+    hop at a time, so the fault-detour routes and dead-link masks can name
+    their slots.
     """
     source = tuple(source)
     target = tuple(target)
@@ -55,8 +56,12 @@ def directed_slot_id(topology: CartesianGraph, source: Node, target: Node) -> in
             f"{source!r} -> {target!r} is not a single-dimension hop"
         )
     j = changed[0]
-    length = topology.shape[j]
-    positive = (source[j] + 1) % length == target[j]
+    if topology.is_torus:
+        positive = (source[j] + 1) % topology.shape[j] == target[j]
+    else:
+        # No wraparound: on a length-2 mesh dimension the step 1 -> 0 is
+        # the negative link, though (1 + 1) % 2 == 0.
+        positive = target[j] > source[j]
     channel = 2 * j + (0 if positive else 1)
     return channel * topology.size + topology.node_index(source)
 
@@ -114,12 +119,6 @@ class LinkWeightSpec:
         if self.kind == "dimension":
             return 1.0 + self.scale * dimension
         return 1.0 + self.scale * _hash_unit(slot_id + self.seed * _GOLDEN)
-
-    def weight_of(self, topology: CartesianGraph, source: Node, target: Node) -> float:
-        """The weight of the directed hop ``source -> target``."""
-        if self.kind == "uniform":
-            return 1.0
-        return self.weight_of_slot(topology, directed_slot_id(topology, source, target))
 
     def weight_array(self, space):
         """Weights of every slot of a link-index space (vectorized).

@@ -30,7 +30,7 @@ from repro.analysis.metrics import (
     stacked_objective_components,
 )
 from repro.compiled import dispatch, toolchain
-from repro.compiled.dispatch import interpreted_kernels, load_kernels
+from repro.compiled.dispatch import active_kernels, interpreted_kernels, load_kernels
 from repro.graphs.base import Mesh, Torus
 from repro.netsim.kernels import LinkIndexSpace, accumulate_link_loads, expand_routes
 from repro.netsim.network import HostNetwork
@@ -134,9 +134,9 @@ class TestKernelDifferentials:
         sizes = rng.uniform(1.0, 64.0, messages)
         occupancy = rng.uniform(0.25, 4.0, messages)
         hop_occupancy = rng.uniform(0.25, 4.0, routes.total_hops)
-        want_hom = accumulate_link_loads(space, routes, sizes, occupancy)
+        want_hom = accumulate_link_loads(space.num_slots, routes, sizes, occupancy)
         want_het = accumulate_link_loads(
-            space, routes, sizes, occupancy, hop_occupancy=hop_occupancy
+            space.num_slots, routes, sizes, occupancy, hop_occupancy=hop_occupancy
         )
         for kernels in kernel_sets():
             link_ids = kernels.expand_link_ids(
@@ -449,6 +449,12 @@ class TestBackendValidation:
     def test_resolved_backend_takes_no_override(self):
         with pytest.raises(TypeError):
             context_module.current().resolved_backend("numba")
+
+    def test_loop_backend_runs_the_interpreted_tier(self):
+        with use_context(backend="loop"):
+            assert active_kernels().tier == "python"
+        with use_context(backend="array"):
+            assert active_kernels() is None
 
     def test_cli_method_accepts_compiled_and_rejects_unknown(self, capsys):
         from repro.cli import main

@@ -250,12 +250,15 @@ class TestLinkWeights:
     @settings(max_examples=25, deadline=None)
     def test_directed_slot_ids_are_unique_per_directed_link(self, kind, shape):
         topology = _graph(kind, shape)
+        space = LinkIndexSpace(topology)
         seen = set()
         for a, b in topology.edges():
             for source, target in ((a, b), (b, a)):
                 slot = directed_slot_id(topology, source, target)
                 assert 0 <= slot < 2 * topology.dimension * topology.size
                 assert slot not in seen
+                # The id names this very hop in the kernels' link-id space.
+                assert space.link_tuples([slot]) == [(source, target)]
                 seen.add(slot)
 
     def test_non_adjacent_hop_rejected(self):

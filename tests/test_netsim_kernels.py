@@ -1,12 +1,14 @@
 """Differential tests for the vectorized netsim kernels.
 
-The array path of the simulation layer must reproduce the per-message loop
-reference *exactly*: routes node-for-node (same hops, same order, same
-torus tie-breaks), analytic phase statistics field-for-field, and the
-discrete-event simulation float-for-float.  Message sizes in the property
-tests are dyadic rationals (multiples of 1/4 with small magnitudes), for
-which IEEE-754 summation is exact in any order — so even the accumulated
-float statistics are compared with ``==``, never ``approx``.
+The array path of the simulation layer must reproduce the loop backend (the
+interpreted kernel tier) *exactly* — analytic phase statistics
+field-for-field and the discrete-event simulation float-for-float — and its
+routes must match the per-message oracle ``route_message`` node-for-node
+(same hops, same order, same torus tie-breaks, same fault detours).  Message
+sizes in the property tests are dyadic rationals (multiples of 1/4 with
+small magnitudes), for which IEEE-754 summation is exact in any order — so
+even the accumulated float statistics are compared with ``==``, never
+``approx``.
 """
 
 import numpy as np
@@ -31,10 +33,11 @@ from repro.netsim import (
     simulate_phase,
     transpose_traffic,
 )
+from repro.netsim.kernels import apply_fault_detours
 from repro.numbering.arrays import indices_to_digits, signed_offset_digits
 from repro.runtime import use_context
 
-from .strategies import graph_kinds, same_size_shape_pairs, small_shapes
+from .strategies import fault_specs, graph_kinds, same_size_shape_pairs, small_shapes
 
 #: Dyadic message sizes: float sums over these are exact in any order.
 DYADIC_SIZES = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.75])
@@ -70,12 +73,18 @@ def placed_phases(draw):
 
 
 class TestRouteExpansion:
+    """The array route expansion against the per-message routing oracle."""
+
+    pytestmark = pytest.mark.smoke
+
     @settings(max_examples=60, deadline=None)
-    @given(host_with_endpoints())
-    def test_array_routes_match_loop_node_for_node(self, case):
+    # Link-only knockouts keep every endpoint alive, so detours get exercised.
+    @given(host_with_endpoints(), st.none() | fault_specs(max_nodes=0) | fault_specs())
+    def test_array_routes_match_loop_node_for_node(self, case, spec):
         graph, pairs = case
         network = HostNetwork(graph)
         space = network.link_index_space()
+        faults = None if spec is None else spec.apply(graph)
         sources = np.asarray([a for a, _ in pairs], dtype=np.int64)
         targets = np.asarray([b for _, b in pairs], dtype=np.int64)
         routes = expand_routes(
@@ -85,10 +94,26 @@ class TestRouteExpansion:
         )
         assert routes.num_messages == len(pairs)
         assert routes.total_hops == int(routes.hops.sum())
-        for index, (a, b) in enumerate(pairs):
-            reference = route_message(
-                network, graph.index_node(a), graph.index_node(b)
-            )
+        # The oracle routes each message on its own; ``None`` marks a message
+        # it rejects (a dead endpoint, or faults that disconnect the pair).
+        oracle = []
+        for a, b in pairs:
+            try:
+                oracle.append(
+                    route_message(
+                        network, graph.index_node(a), graph.index_node(b), faults=faults
+                    )
+                )
+            except SimulationError:
+                oracle.append(None)
+        if faults is not None:
+            if None in oracle:
+                with pytest.raises(SimulationError):
+                    apply_fault_detours(space, routes, faults, sources, targets)
+                return
+            routes = apply_fault_detours(space, routes, faults, sources, targets)
+            assert routes.total_hops == int(routes.hops.sum())
+        for index, reference in enumerate(oracle):
             ids = routes.link_ids[routes.starts[index] : routes.starts[index + 1]]
             assert space.link_tuples(ids) == reference
 
@@ -189,7 +214,9 @@ class TestAnalyticEstimateDifferential:
             indices_to_digits(images[targets], host.shape),
         )
         occupancy = network.cost_model.alpha + sizes / network.cost_model.bandwidth
-        counts, volume, busy = accumulate_link_loads(space, routes, sizes, occupancy)
+        counts, volume, busy = accumulate_link_loads(
+            space.num_slots, routes, sizes, occupancy
+        )
         reference: dict = {}
         for source, target, size in traffic.placed(embedding):
             for link in route_message(network, source, target):

@@ -80,6 +80,14 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="JSON object"):
             ServiceRequest.from_dict(["embed"])
 
+    @pytest.mark.parametrize("field", ["strategy", "traffic"])
+    def test_from_dict_rejects_non_string_strategy_and_traffic(self, field):
+        # An unhashable value would otherwise fail the whole coalesced shard.
+        payload = {"op": "simulate", "guest": "torus:4,4", "host": "mesh:4,4"}
+        for bad in (["x"], {"x": 1}, 3, None):
+            with pytest.raises(ProtocolError, match=f"{field} must be a string"):
+                ServiceRequest.from_dict({**payload, field: bad})
+
     def test_scenario_conversion(self):
         embed = ServiceRequest(op="embed", guest="torus:4,6", host="mesh:2,2,2,3")
         scenario = embed.scenario()
@@ -342,6 +350,16 @@ class TestHTTPEndToEnd:
         with pytest.raises(ServiceError) as excinfo:
             client.invoke({"op": "embed", "guest": "torus:4,6"})
         assert excinfo.value.status == 400
+
+    def test_non_string_traffic_is_400(self, http_service):
+        _, client, _ = http_service
+        body = {"op": "simulate", "guest": "torus:4,4", "host": "mesh:4,4"}
+        with pytest.raises(ServiceError) as excinfo:
+            client.invoke({**body, "traffic": ["x"]})
+        assert excinfo.value.status == 400
+        # The rejection happens before coalescing; a well-formed request of
+        # the same signature is answered as usual.
+        assert client.invoke(body)["record"]["status"] == "ok"
 
     def test_client_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:1", timeout=0.5)
