@@ -7,8 +7,11 @@ construction methods:
 
 * ``use_context(backend="loop")`` — the retained per-node reference
   builders (``Embedding.from_callable`` over a Python dict);
-* ``use_context(backend="array")`` — the batch kernels of
-  :mod:`repro.numbering.batch` producing the flat host-index array directly.
+* ``use_context(backend="array")`` — the shape-keyed plans of
+  :mod:`repro.core.plan`, whose per-dimension tables one
+  :func:`~repro.numbering.batch.outer_sum` expands into the flat host-index
+  array.  The plan memo is emptied before every timed array round, so each
+  round measures planning and construction rather than memo hits.
 
 The two must produce node-for-node identical mappings, and the array path
 must be at least ``SPEEDUP_FLOOR``x faster over the whole batch.  Run with
@@ -21,6 +24,7 @@ import time
 import pytest
 
 from repro.core.dispatch import embed
+from repro.core.plan import plan_for
 from repro.graphs.base import Line, Mesh, Ring, Torus
 from repro.runtime import use_context
 
@@ -54,6 +58,7 @@ def test_construction_array_speedup_over_loop_builders():
 
     array_seconds = math.inf
     for _ in range(3):  # best-of-3 guards the assertion against CI jitter
+        plan_for.cache_clear()  # a cold round: plan and build every pair
         started = time.perf_counter()
         array_built = _build_all("array")
         array_seconds = min(array_seconds, time.perf_counter() - started)

@@ -8,9 +8,10 @@ pass of a survey-suite sweep — the Section 5 square chains at table scale
 (up to 4096 nodes) plus the exhaustive 48-node sweep — twice through the
 same execution context:
 
-* **cold** — an empty cache: every supported pair runs the full dispatcher
-  (strategy selection, factor searches, batch-kernel construction) and is
-  memoized;
+* **cold** — an empty cache and an empty plan memo
+  (:func:`repro.core.plan.plan_for`): every supported pair runs the full
+  dispatcher (strategy selection, factor searches, table construction) and
+  is memoized;
 * **warm** — the same pass again: every pair resolves to a content-addressed
   cache hit (family memo + stored host-index array), skipping
   re-construction entirely.
@@ -28,6 +29,7 @@ invocations skip construction.
 import time
 
 from repro.core.dispatch import embed
+from repro.core.plan import plan_for
 from repro.exceptions import UnsupportedEmbeddingError
 from repro.runtime import ConstructionCache, use_context
 from repro.survey import scenarios_for_suite
@@ -57,6 +59,7 @@ def test_warm_cache_speedup_over_reconstruction():
     scenarios = _suite_scenarios()
     cache = ConstructionCache()
     with use_context(cache=cache):
+        plan_for.cache_clear()  # cold means no memoized plans either
         started = time.perf_counter()
         cold_built = _construction_pass(scenarios)
         cold_seconds = time.perf_counter() - started

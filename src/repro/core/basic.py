@@ -24,17 +24,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..exceptions import InvalidRadixError, UnsupportedEmbeddingError
 from ..graphs.base import CartesianGraph, Line, Ring
-from ..numbering.arrays import digits_to_indices
-from ..numbering.batch import f_flat, g_flat, h_digits, h_flat
+from ..numbering.batch import placed_weights, sequence_table
 from ..numbering.graycode import reflected_digit
 from ..numbering.radix import RadixBase
 from ..types import Node
 from ..utils.listops import apply_permutation, concat, invert_permutation
-from .embedding import Embedding, use_array_path
+from .embedding import Construction, Embedding
 
 __all__ = [
     "t_value",
@@ -50,6 +47,8 @@ __all__ = [
     "even_first_permutation",
     "line_in_graph_embedding",
     "ring_in_graph_embedding",
+    "line_construction",
+    "ring_construction",
     "predicted_ring_dilation",
 ]
 
@@ -221,30 +220,48 @@ def even_first_permutation(shape: Sequence[int]) -> Optional[Tuple[Tuple[int, ..
     return reordered, perm
 
 
+def _sequence_construction(
+    host: CartesianGraph,
+    sequence: str,
+    value_fn,
+    base_shape: Sequence[int],
+    permutation: Sequence[int],
+    strategy: str,
+    predicted_dilation: int,
+    notes: dict,
+) -> Construction:
+    """A 1-D guest along ``π ∘ φ_{base}``: its one table is the whole sequence."""
+    base = RadixBase(base_shape)
+
+    def tables():
+        weights = placed_weights(permutation, host.shape)
+        return sequence_table(sequence, base_shape) @ weights
+
+    return Construction(
+        strategy,
+        predicted_dilation,
+        notes,
+        tables,
+        lambda node: apply_permutation(permutation, value_fn(base, node[0])),
+    )
+
+
+def line_construction(host: CartesianGraph) -> Construction:
+    """Theorem 13's ``f_L`` for a line of the host's size (dilation 1)."""
+    identity = tuple(range(host.dimension))
+    return _sequence_construction(
+        host, "f", f_value, host.shape, identity, "line:f_L", 1, {}
+    )
+
+
 def line_in_graph_embedding(host: CartesianGraph) -> Embedding:
     """Embed a line of the host's size in the host with dilation 1 (Theorem 13).
 
-    The array backend computes the whole reflected sequence ``f_L`` as one
-    batch kernel call; the per-node loop is the retained reference
+    The array backend reads the whole reflected sequence ``f_L`` from its
+    memoized table; the per-node loop is the retained reference
     implementation (force it with ``use_context(backend="loop")``).
     """
-    base = RadixBase(host.shape)
-    guest = Line(host.size)
-    if use_array_path():
-        return Embedding.from_index_array(
-            guest,
-            host,
-            f_flat(host.shape, np.arange(host.size, dtype=np.int64)),
-            strategy="line:f_L",
-            predicted_dilation=1,
-        )
-    return Embedding.from_callable(
-        guest,
-        host,
-        lambda node: f_value(base, node[0]),
-        strategy="line:f_L",
-        predicted_dilation=1,
-    )
+    return line_construction(host).build(Line(host.size), host)
 
 
 def predicted_ring_dilation(host: CartesianGraph) -> int:
@@ -258,37 +275,13 @@ def predicted_ring_dilation(host: CartesianGraph) -> int:
     return 2
 
 
-def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
-    """Embed a ring of the host's size in the host with the optimal Section-3 strategy.
-
-    * host torus → ``h_L`` (dilation 1, Theorem 28);
-    * host mesh, even size, dimension ≥ 2 → ``π ∘ h_{L*}`` with an even
-      dimension permuted to the front (dilation 1, Theorem 24);
-    * otherwise (odd-size mesh or a line) → ``g_L`` (dilation 2, Theorem 17,
-      optimal in these cases).
-
-    The ambient context selects the batch-kernel array backend or the
-    per-node loop reference, as for :func:`line_in_graph_embedding`.
-    """
-    guest = Ring(host.size)
+def ring_construction(host: CartesianGraph) -> Construction:
+    """The optimal Section-3 ring construction (see :func:`ring_in_graph_embedding`)."""
     shape = host.shape
-    array = use_array_path()
+    identity = tuple(range(host.dimension))
     if host.is_torus:
-        if array:
-            return Embedding.from_index_array(
-                guest,
-                host,
-                h_flat(shape, np.arange(host.size, dtype=np.int64)),
-                strategy="ring:h_L",
-                predicted_dilation=1,
-            )
-        base = RadixBase(shape)
-        return Embedding.from_callable(
-            guest,
-            host,
-            lambda node: h_value(base, node[0]),
-            strategy="ring:h_L",
-            predicted_dilation=1,
+        return _sequence_construction(
+            host, "h", h_value, shape, identity, "ring:h_L", 1, {}
         )
     # Host is a mesh.
     if host.dimension >= 2 and host.size % 2 == 0:
@@ -298,42 +291,38 @@ def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
                 f"mesh {shape} has even size but no even dimension length"
             )
         reordered_shape, perm = reordering
-        if array:
-            digits = h_digits(reordered_shape, np.arange(host.size, dtype=np.int64))
-            return Embedding.from_index_array(
-                guest,
-                host,
-                digits_to_indices(digits[:, list(perm)], shape),
-                strategy="ring:π∘h_L*",
-                predicted_dilation=1,
-                notes={"reordered_shape": reordered_shape, "permutation": perm},
-            )
-        base = RadixBase(reordered_shape)
-        return Embedding.from_callable(
-            guest,
+        return _sequence_construction(
             host,
-            lambda node: apply_permutation(perm, h_value(base, node[0])),
-            strategy="ring:π∘h_L*",
-            predicted_dilation=1,
-            notes={"reordered_shape": reordered_shape, "permutation": perm},
+            "h",
+            h_value,
+            reordered_shape,
+            perm,
+            "ring:π∘h_L*",
+            1,
+            {"reordered_shape": reordered_shape, "permutation": perm},
         )
-    predicted = predicted_ring_dilation(host)
-    notes = {"dilation_is_upper_bound": host.size <= 2}
-    if array:
-        return Embedding.from_index_array(
-            guest,
-            host,
-            g_flat(shape, np.arange(host.size, dtype=np.int64)),
-            strategy="ring:g_L",
-            predicted_dilation=predicted,
-            notes=notes,
-        )
-    base = RadixBase(shape)
-    return Embedding.from_callable(
-        guest,
+    return _sequence_construction(
         host,
-        lambda node: g_value(base, node[0]),
-        strategy="ring:g_L",
-        predicted_dilation=predicted,
-        notes=notes,
+        "g",
+        g_value,
+        shape,
+        identity,
+        "ring:g_L",
+        predicted_ring_dilation(host),
+        {"dilation_is_upper_bound": host.size <= 2},
     )
+
+
+def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
+    """Embed a ring of the host's size in the host with the optimal Section-3 strategy.
+
+    * host torus → ``h_L`` (dilation 1, Theorem 28);
+    * host mesh, even size, dimension ≥ 2 → ``π ∘ h_{L*}`` with an even
+      dimension permuted to the front (dilation 1, Theorem 24);
+    * otherwise (odd-size mesh or a line) → ``g_L`` (dilation 2, Theorem 17,
+      optimal in these cases).
+
+    The ambient context selects the memoized-table array backend or the
+    per-node loop reference, as for :func:`line_in_graph_embedding`.
+    """
+    return ring_construction(host).build(Ring(host.size), host)

@@ -1,8 +1,9 @@
 """Automatic strategy selection: ``embed(guest, host)``.
 
 The paper's results are organized by the relationship between the two
-shapes; this module encodes the decision procedure so that a caller can
-simply ask for an embedding and get the best construction the paper offers:
+shapes; :func:`repro.core.plan.plan_for` encodes the decision procedure, once
+per pair of shapes, so that a caller can simply ask for an embedding and get
+the best construction the paper offers:
 
 0. guest strictly smaller than host → an injective subshape embedding
    into an equal-size sub-box of the host (:mod:`repro.core.subshape`);
@@ -17,102 +18,31 @@ simply ask for an embedding and get the best construction the paper offers:
 7. both graphs square → the Section 5 chains (Theorems 48, 51, 52, 53);
 8. otherwise → :class:`~repro.exceptions.UnsupportedEmbeddingError` (the
    paper does not cover the pair).
+
+:func:`embed` applies the pair's plan; :func:`strategy_for` reports its
+family without building anything.
 """
 
 from __future__ import annotations
 
-from ..exceptions import (
-    NoExpansionError,
-    NoReductionError,
-    ShapeMismatchError,
-    UnsupportedEmbeddingError,
-)
-from ..graphs.base import CartesianGraph, Mesh
-from ..numbering.arrays import digit_table, digits_to_indices
-from ..numbering.batch import t_columns
+from ..exceptions import ShapeMismatchError, UnsupportedEmbeddingError
+from ..graphs.base import CartesianGraph
 from ..runtime.cache import embedding_cache_key
 from ..runtime.context import current
-from ..utils.listops import apply_permutation, find_permutation, is_permutation_of
-from .basic import line_in_graph_embedding, ring_in_graph_embedding
-from .embedding import Embedding, use_array_path
-from .expansion import find_expansion_factor
-from .increasing import embed_increasing
-from .lowering import embed_lowering_simple, embed_lowering
-from .reduction import SimpleReductionFactor, find_general_reduction, find_simple_reduction
-from .same_shape import same_shape_embedding, t_vector_value
-from .square import embed_square
-from .subshape import embed_subshape, find_subshape, subshape_inner_shape
+from .embedding import Embedding
+from .plan import plan_for
 
 __all__ = ["embed", "strategy_for", "strategy_family"]
 
 
-def _permuted_shape_embedding(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
-    """Shapes are permutations of each other: permute coordinates (plus ``T`` if needed)."""
-    permutation = find_permutation(guest.shape, host.shape)
-    assert permutation is not None
-    if guest.is_torus and host.is_mesh and not guest.is_hypercube:
-        shape = guest.shape
-        notes = {"permutation": permutation, "dilation_is_upper_bound": min(shape) <= 2}
-        if use_array_path():
-            digits = digit_table(shape)
-            relabelled = t_columns(shape, digits)
-            return Embedding.from_index_array(
-                guest,
-                host,
-                digits_to_indices(relabelled[:, list(permutation)], host.shape),
-                strategy="permute-dimensions∘T_L",
-                predicted_dilation=2,
-                notes=notes,
-            )
-        return Embedding.from_callable(
-            guest,
-            host,
-            lambda node: apply_permutation(permutation, t_vector_value(shape, node)),
-            strategy="permute-dimensions∘T_L",
-            predicted_dilation=2,
-            notes=notes,
-        )
-    return Embedding.from_permutation(guest, host, permutation)
-
-
 def strategy_for(guest: CartesianGraph, host: CartesianGraph) -> str:
-    """Name of the strategy :func:`embed` would use, without building the mapping.
+    """The strategy family :func:`embed` would use, without building the mapping.
 
     Useful for experiment sweeps that only need to know which theorem covers
-    a pair of shapes.
+    a pair of shapes: it is the family of the pair's memoized plan
+    (:func:`repro.core.plan.plan_for`).
     """
-    if guest.size > host.size:
-        raise ShapeMismatchError(
-            f"guest has {guest.size} nodes but host has {host.size}; "
-            "the guest must not be larger than the host"
-        )
-    if guest.size < host.size:
-        sub = find_subshape(guest.size, host.shape)
-        if sub is None:
-            return "unsupported"
-        inner = strategy_for(guest, Mesh(subshape_inner_shape(sub)))
-        return "unsupported" if inner == "unsupported" else "subshape"
-    if guest.shape == host.shape:
-        return "same-shape"
-    if is_permutation_of(guest.shape, host.shape):
-        return "permute-dimensions"
-    if guest.dimension == 1:
-        return "basic"
-    if host.dimension == 1:
-        return "lowering-simple"
-    if guest.dimension < host.dimension:
-        if find_expansion_factor(guest.shape, host.shape) is not None:
-            return "increasing"
-        if guest.is_square and host.is_square:
-            return "square-increasing"
-        return "unsupported"
-    if find_simple_reduction(guest.shape, host.shape) is not None:
-        return "lowering-simple"
-    if find_general_reduction(guest.shape, host.shape) is not None:
-        return "lowering-general"
-    if guest.is_square and host.is_square:
-        return "square-lowering"
-    return "unsupported"
+    return plan_for(guest.shape, host.shape).family
 
 
 #: Ordered (prefix, family) pairs mapping an ``Embedding.strategy`` name to
@@ -153,19 +83,23 @@ def strategy_family(strategy: str) -> str:
 def embed(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     """Embed ``guest`` in ``host`` using the paper's best applicable construction.
 
-    The construction backend is resolved from the ambient execution context
-    (:mod:`repro.runtime.context`): the array backend builds the flat
-    host-index array with the batch kernels of :mod:`repro.numbering.batch`
-    (never touching per-node Python); ``use_context(backend="loop")`` forces
-    the retained per-node reference builders.  Both backends produce
-    node-for-node identical embeddings — the differential test harness
-    asserts this for every strategy this dispatcher can select.
+    Two steps: the pair's shape-keyed plan (:func:`repro.core.plan.plan_for`:
+    family, factor searches, per-kind labels and tables, all memoized), then
+    its application to the two graphs.  The construction backend is resolved
+    from the ambient execution context (:mod:`repro.runtime.context`): the
+    array backend expands the plan's per-dimension host-rank tables with one
+    :func:`~repro.numbering.batch.outer_sum` (never touching per-node
+    Python); ``use_context(backend="loop")`` runs the per-node reference
+    maps of the same constructions.  Both backends produce node-for-node
+    identical embeddings — the differential test harness asserts this for
+    every strategy this dispatcher can select.
 
     When the context carries a construction cache
     (:class:`~repro.runtime.cache.ConstructionCache`), the result is
     memoized under ``(strategy family, guest kind+shape, host kind+shape)``
     — the constructions are pure functions of that key, so a warm cache
-    skips re-construction entirely (see ``benchmarks/bench_runtime_cache.py``).
+    skips planning and construction entirely (see
+    ``benchmarks/bench_runtime_cache.py``).
 
     Raises
     ------
@@ -175,30 +109,28 @@ def embed(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
         When none of the paper's conditions (expansion, reduction, square,
         basic, same-shape) applies to the pair of shapes.
     """
+    cache = current().cache
+    if cache is None:
+        return plan_for(guest.shape, host.shape).build(guest, host)
     if guest.size > host.size:
         raise ShapeMismatchError(
             f"guest has {guest.size} nodes but host has {host.size}; "
             "the guest must not be larger than the host"
         )
-    cache = current().cache
-    if cache is None:
-        return _dispatch(guest, host)
     memo = cache.fetch_family(guest, host)
     if memo is None:
-        # Cold pair: build first, then derive the family from the strategy
-        # label (strategy_family ∘ _dispatch == strategy_for, pinned by
-        # tests/test_dispatch_strategy_agreement.py) — one factor search,
-        # not two.  Unsupported pairs memoize the error message so a warm
-        # sweep skips the failed searches entirely.
+        # Cold pair: memoize the family with the construction, and for an
+        # unsupported pair the error message, so a warm sweep skips the
+        # failed searches entirely.
         cache.misses += 1
+        plan = plan_for(guest.shape, host.shape)
         try:
-            embedding = _dispatch(guest, host)
+            embedding = plan.build(guest, host)
         except UnsupportedEmbeddingError as error:
             cache.store_family(guest, host, "unsupported", error=str(error))
             raise
-        family = strategy_family(embedding.strategy)
-        cache.store_family(guest, host, family)
-        cache.store_embedding(embedding_cache_key(family, guest, host), embedding)
+        cache.store_family(guest, host, plan.family)
+        cache.store_embedding(embedding_cache_key(plan.family, guest, host), embedding)
         return embedding
     family, unsupported_message = memo
     if family == "unsupported":
@@ -209,71 +141,6 @@ def embed(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
         return cached
     # Family memo without its construction (e.g. a partially merged warm
     # start): rebuild and fill the gap.
-    embedding = _dispatch(guest, host)
+    embedding = plan_for(guest.shape, host.shape).build(guest, host)
     cache.store_embedding(key, embedding)
     return embedding
-
-
-def _dispatch(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
-    """The uncached strategy-selection body of :func:`embed`."""
-    if guest.size < host.size:
-        return embed_subshape(guest, host)
-
-    if guest.shape == host.shape:
-        return same_shape_embedding(guest, host)
-
-    if is_permutation_of(guest.shape, host.shape):
-        return _permuted_shape_embedding(guest, host)
-
-    if guest.dimension == 1:
-        if guest.is_mesh:
-            embedding = line_in_graph_embedding(host)
-        else:
-            embedding = ring_in_graph_embedding(host)
-        # The builders create their own 1-D guest; rebuild with the caller's
-        # guest object so identities (kind/shape) are preserved exactly.
-        if use_array_path():
-            return Embedding.from_index_array(
-                guest,
-                host,
-                embedding.host_index_array(),
-                strategy=embedding.strategy,
-                predicted_dilation=embedding.predicted_dilation,
-                notes=embedding.notes,
-            )
-        return Embedding(
-            guest=guest,
-            host=host,
-            mapping={guest.index_node(x): embedding.map_index(x) for x in range(guest.size)},
-            strategy=embedding.strategy,
-            predicted_dilation=embedding.predicted_dilation,
-            notes=embedding.notes,
-        )
-
-    if host.dimension == 1:
-        # A 1-dimensional host is always a simple reduction: one group
-        # containing every guest dimension, largest length first.
-        group = tuple(sorted(guest.shape, reverse=True))
-        factor = SimpleReductionFactor((group,))
-        return embed_lowering_simple(guest, host, factor)
-
-    if guest.dimension < host.dimension:
-        try:
-            return embed_increasing(guest, host)
-        except NoExpansionError:
-            if guest.is_square and host.is_square:
-                return embed_square(guest, host)
-            raise UnsupportedEmbeddingError(
-                f"{host.shape} is not an expansion of {guest.shape} and the graphs are "
-                "not both square; the paper does not provide an embedding for this pair"
-            ) from None
-
-    try:
-        return embed_lowering(guest, host)
-    except NoReductionError:
-        if guest.is_square and host.is_square:
-            return embed_square(guest, host)
-        raise UnsupportedEmbeddingError(
-            f"{host.shape} is not a reduction of {guest.shape} and the graphs are "
-            "not both square; the paper does not provide an embedding for this pair"
-        ) from None

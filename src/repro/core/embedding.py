@@ -14,7 +14,10 @@ The class stores the guest graph, the host graph and the mapping, and offers:
 * composition (:meth:`compose`) used by the paper's multi-step constructions
   ``G -> G' -> H' -> H``; and
 * convenient constructors (:meth:`from_callable`, :meth:`identity`,
-  :meth:`from_permutation`, :meth:`from_index_array`).
+  :meth:`from_permutation`, :meth:`from_index_array`, :meth:`from_tables`).
+
+:class:`Construction` is a paper construction before it is applied: its
+labels, its separable host-rank tables and its per-node reference map.
 
 Array-backed representation
 ---------------------------
@@ -46,16 +49,13 @@ import numpy as np
 from ..exceptions import InvalidEmbeddingError, InvalidRadixError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
 from ..graphs.paths import dimension_order_path
-from ..numbering.arrays import (
-    digit_table,
-    digits_to_indices,
-    stacked_edge_congestion,
-)
+from ..numbering.arrays import stacked_edge_congestion
+from ..numbering.batch import coordinate_tables, outer_sum, placed_weights
 from ..runtime.context import use_array_path
 from ..types import Node
 from ..utils.listops import apply_permutation
 
-__all__ = ["Embedding", "CostMethod", "use_array_path"]
+__all__ = ["Embedding", "Construction", "CostMethod", "use_array_path"]
 
 #: Historical alias for the backend names (``"auto"``, ``"array"``,
 #: ``"loop"``, ``"compiled"``); see :data:`repro.runtime.context.BACKENDS`.
@@ -190,6 +190,39 @@ class Embedding:
         return embedding
 
     @classmethod
+    def from_tables(
+        cls,
+        guest: CartesianGraph,
+        host: CartesianGraph,
+        tables,
+        *,
+        strategy: str = "custom",
+        predicted_dilation: Optional[int] = None,
+        notes: Optional[Dict[str, object]] = None,
+    ) -> "Embedding":
+        """Build a separable embedding from its packed per-dimension tables.
+
+        ``tables`` concatenates one table per guest dimension, in dimension
+        order (``Σ l_k`` entries): guest node ``x`` maps to host rank
+        ``Σ_k table_k[x_k]``.  The host-index array is a fresh
+        :func:`~repro.numbering.batch.outer_sum` of the tables, so a shared
+        (memoized, read-only) ``tables`` array is never aliased.
+        """
+        split = []
+        start = 0
+        for side in guest.shape:
+            split.append(tables[start : start + side])
+            start += side
+        return cls.from_index_array(
+            guest,
+            host,
+            outer_sum(split),
+            strategy=strategy,
+            predicted_dilation=predicted_dilation,
+            notes=notes,
+        )
+
+    @classmethod
     def identity(cls, guest: CartesianGraph, host: CartesianGraph) -> "Embedding":
         """The identity embedding between two graphs of the same shape.
 
@@ -243,11 +276,11 @@ class Embedding:
                 "preserve adjacency; use the same-shape T_L embedding instead"
             )
         if use_array_path():
-            digits = digit_table(guest.shape)
-            return cls.from_index_array(
+            weights = placed_weights(permutation, host.shape)
+            return cls.from_tables(
                 guest,
                 host,
-                digits_to_indices(digits[:, list(permutation)], host.shape),
+                coordinate_tables(guest.shape, weights),
                 strategy=strategy,
                 predicted_dilation=1,
                 notes={"permutation": tuple(permutation)},
@@ -595,4 +628,51 @@ class Embedding:
         return (
             f"Embedding({self.guest!r} -> {self.host!r}, strategy={self.strategy!r}, "
             f"predicted_dilation={self.predicted_dilation!r})"
+        )
+
+
+class Construction:
+    """A same-size construction of the paper, before it is applied.
+
+    Every construction except the square chains is a product map: guest
+    coordinate ``x_k`` contributes ``table_k[x_k]`` to the host rank of the
+    image.  ``tables()`` returns those tables packed for
+    :meth:`Embedding.from_tables`; ``node_map`` is the per-node reference
+    map the loop backend runs instead.
+    """
+
+    __slots__ = ("strategy", "predicted_dilation", "notes", "tables", "node_map")
+
+    def __init__(
+        self,
+        strategy: str,
+        predicted_dilation: int,
+        notes: Dict[str, object],
+        tables: Callable[[], np.ndarray],
+        node_map: Callable[[Node], Node],
+    ):
+        self.strategy = strategy
+        self.predicted_dilation = predicted_dilation
+        self.notes = notes
+        self.tables = tables
+        self.node_map = node_map
+
+    def build(self, guest: CartesianGraph, host: CartesianGraph) -> Embedding:
+        """The embedding, through the backend the ambient context selects."""
+        if use_array_path():
+            return Embedding.from_tables(
+                guest,
+                host,
+                self.tables(),
+                strategy=self.strategy,
+                predicted_dilation=self.predicted_dilation,
+                notes=self.notes,
+            )
+        return Embedding.from_callable(
+            guest,
+            host,
+            self.node_map,
+            strategy=self.strategy,
+            predicted_dilation=self.predicted_dilation,
+            notes=self.notes,
         )

@@ -24,19 +24,18 @@ torus embeds in the hypercube with dilation 1.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import NoExpansionError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digit_table, digits_to_indices
-from ..numbering.batch import f_digits, g_digits, h_digits
+from ..numbering.batch import placed_weights, sequence_table
 from ..numbering.radix import RadixBase
 from ..types import Node
 from ..utils.listops import apply_permutation, concat, find_permutation
 from .basic import f_value, g_value, h_value
-from .embedding import Embedding, use_array_path
+from .embedding import Construction, Embedding
 from .expansion import (
     ExpansionFactor,
     find_expansion_factor,
@@ -49,6 +48,8 @@ __all__ = [
     "H_value",
     "predicted_increasing_dilation",
     "embed_increasing",
+    "increasing_construction",
+    "wants_unit_torus_factor",
 ]
 
 
@@ -114,10 +115,9 @@ def embed_increasing(
         reproduces the "plain" dilation-2 construction, which the ablation
         benchmark compares against.
 
-    The ambient context selects the backend: the array backend builds the
-    host-index array with the batch kernels of :mod:`repro.numbering.batch`
-    (one φ call per guest dimension), the loop backend is the retained
-    per-node reference.
+    The ambient context selects the backend: the array backend expands one
+    host-rank table per guest dimension (:func:`increasing_construction`),
+    the loop backend is the retained per-node reference.
 
     Raises
     ------
@@ -138,18 +138,10 @@ def embed_increasing(
 
     source_shape = guest.shape
     target_shape = host.shape
-
-    strategy = "increasing:F_V"
     unit_torus_factor = False
-    guest_is_effectively_mesh = guest.is_mesh or guest.is_hypercube
 
     if factor is None:
-        if (
-            not guest_is_effectively_mesh
-            and host.is_mesh
-            and prefer_unit_dilation
-            and guest.size % 2 == 0
-        ):
+        if wants_unit_torus_factor(guest, host) and prefer_unit_dilation:
             factor = find_unit_dilation_torus_factor(source_shape, target_shape)
             if factor is not None:
                 unit_torus_factor = True
@@ -170,28 +162,53 @@ def embed_increasing(
             and factor.all_lists_contain_even()
             and all(v[0] % 2 == 0 for v in factor.lists)
         )
+    return increasing_construction(guest, host, factor, unit_torus_factor).build(
+        guest, host
+    )
 
-    # Choose the per-coordinate map (scalar and batch forms of the same φ).
-    value_fn: Callable[[ExpansionFactor, Sequence[int]], Node]
-    if guest_is_effectively_mesh:
-        value_fn, batch_fn = F_value, f_digits
-        strategy = "increasing:F_V"
+
+def wants_unit_torus_factor(guest: CartesianGraph, host: CartesianGraph) -> bool:
+    """True when Theorem 32(iii)'s unit-dilation factor search applies.
+
+    That is an even-size, non-hypercube torus guest in a mesh host.
+    """
+    return (
+        guest.is_torus
+        and not guest.is_hypercube
+        and host.is_mesh
+        and guest.size % 2 == 0
+    )
+
+
+def increasing_construction(
+    guest: CartesianGraph,
+    host: CartesianGraph,
+    factor: ExpansionFactor,
+    unit_torus_factor: bool,
+) -> Construction:
+    """Theorem 32's embedding for a validated expansion factor.
+
+    ``φ_{V_k}`` expands guest coordinate ``k`` into ``len(V_k)`` host
+    digits, which the permutation ``π`` places among the host columns, so
+    guest coordinate ``k`` contributes ``φ_{V_k}(x_k) · w`` to the host
+    rank, with ``w`` the host weights of the columns that block lands on.
+    """
+    # The per-coordinate map φ: its strategy label, sequence and scalar form.
+    if guest.is_mesh or guest.is_hypercube:
+        strategy, sequence, value_fn = "increasing:F_V", "f", F_value
     elif host.is_torus:
-        value_fn, batch_fn = H_value, h_digits
-        strategy = "increasing:H_V"
+        strategy, sequence, value_fn = "increasing:H_V", "h", H_value
     elif unit_torus_factor:
-        value_fn, batch_fn = H_value, h_digits
-        strategy = "increasing:H_V(even-first)"
+        strategy, sequence, value_fn = "increasing:H_V(even-first)", "h", H_value
     else:
-        value_fn, batch_fn = G_value, g_digits
-        strategy = "increasing:G_V"
+        strategy, sequence, value_fn = "increasing:G_V", "g", G_value
 
     flattened = factor.flattened
-    permutation = find_permutation(flattened, target_shape)
+    permutation = find_permutation(flattened, host.shape)
     if permutation is None:  # pragma: no cover - factor validity guarantees this
         raise NoExpansionError(
             f"internal error: factor concatenation {flattened} is not a permutation "
-            f"of the host shape {target_shape}"
+            f"of the host shape {host.shape}"
         )
 
     predicted = predicted_increasing_dilation(
@@ -208,28 +225,20 @@ def embed_increasing(
         # even-size toruses with an unfavourable factor it is an upper bound.
         notes["dilation_is_upper_bound"] = guest.size % 2 == 0
 
-    if use_array_path():
-        guest_digits = digit_table(source_shape)
-        # φ_{V_k} expands guest column k into len(V_k) host digit columns.
-        blocks = [
-            batch_fn(component, guest_digits[:, k])
-            for k, component in enumerate(factor.lists)
-        ]
-        combined = np.concatenate(blocks, axis=1)
-        return Embedding.from_index_array(
-            guest,
-            host,
-            digits_to_indices(combined[:, list(permutation)], target_shape),
-            strategy=strategy,
-            predicted_dilation=predicted,
-            notes=notes,
-        )
+    def tables():
+        weights = placed_weights(permutation, host.shape)
+        result = []
+        position = 0
+        for component in factor.lists:
+            block = weights[position : position + len(component)]
+            result.append(sequence_table(sequence, component) @ block)
+            position += len(component)
+        return np.concatenate(result)
 
-    return Embedding.from_callable(
-        guest,
-        host,
+    return Construction(
+        strategy,
+        predicted,
+        notes,
+        tables,
         lambda node: apply_permutation(permutation, value_fn(factor, node)),
-        strategy=strategy,
-        predicted_dilation=predicted,
-        notes=notes,
     )

@@ -27,13 +27,13 @@ import numpy as np
 
 from ..exceptions import NoReductionError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digit_table, digits_to_indices
-from ..numbering.batch import f_digits, g_digits, group_collapse, t_columns
+from ..numbering.arrays import digit_weights
+from ..numbering.batch import coordinate_tables, placed_weights, sequence_table
 from ..numbering.radix import RadixBase
 from ..types import Node
 from ..utils.listops import apply_permutation, find_permutation
 from .basic import t_value
-from .embedding import Embedding, use_array_path
+from .embedding import Construction, Embedding
 from .expansion import ExpansionFactor
 from .increasing import F_value, G_value
 from .reduction import (
@@ -52,6 +52,8 @@ __all__ = [
     "embed_lowering_simple",
     "embed_lowering_general",
     "embed_lowering",
+    "lowering_simple_construction",
+    "lowering_general_construction",
 ]
 
 
@@ -120,6 +122,19 @@ def embed_lowering_simple(
                 f"into {host.shape}"
             )
 
+    return lowering_simple_construction(guest, host, factor).build(guest, host)
+
+
+def lowering_simple_construction(
+    guest: CartesianGraph, host: CartesianGraph, factor: SimpleReductionFactor
+) -> Construction:
+    """Theorem 39's embedding for a validated simple-reduction factor.
+
+    ``U_V ∘ τ`` (and ``T``) act on each guest coordinate separately: the
+    coordinate at group position ``i`` lands in host column ``g`` with the
+    within-group weight of ``i``, so it contributes (its ``t``-relabelled
+    value times) that weight times the host weight of column ``g``.
+    """
     flattened = factor.flattened
     tau = find_permutation(guest.shape, flattened)
     if tau is None:  # pragma: no cover - factor validity guarantees this
@@ -149,28 +164,17 @@ def embed_lowering_simple(
         strategy = "lowering:U_V∘τ"
         notes = {"reduction_factor": factor.groups, "permutation": tau}
 
-    if use_array_path():
-        digits = digit_table(guest.shape)
-        rearranged = digits[:, list(tau)]
-        if torus_into_mesh:
-            rearranged = t_columns(flattened, rearranged)
-        return Embedding.from_index_array(
-            guest,
-            host,
-            digits_to_indices(group_collapse(rearranged, factor.groups), host.shape),
-            strategy=strategy,
-            predicted_dilation=predicted,
-            notes=notes,
-        )
+    def tables():
+        host_weights = digit_weights(host.shape).tolist()
+        weights = [0] * len(tau)
+        position = 0
+        for group, host_weight in zip(factor.groups, host_weights):
+            for group_weight in digit_weights(group).tolist():
+                weights[tau[position]] = group_weight * host_weight
+                position += 1
+        return coordinate_tables(guest.shape, weights, relabel=torus_into_mesh)
 
-    return Embedding.from_callable(
-        guest,
-        host,
-        mapping,
-        strategy=strategy,
-        predicted_dilation=predicted,
-        notes=notes,
-    )
+    return Construction(strategy, predicted, notes, tables, mapping)
 
 
 # --------------------------------------------------------------------------- #
@@ -251,28 +255,41 @@ def embed_lowering_general(
                 "the supplied general-reduction decomposition does not match the shapes"
             )
 
+    return lowering_general_construction(guest, host, factor).build(guest, host)
+
+
+def lowering_general_construction(
+    guest: CartesianGraph, host: CartesianGraph, factor: GeneralReductionFactor
+) -> Construction:
+    """Theorem 43's embedding for a validated general-reduction decomposition.
+
+    After ``α`` a supernode coordinate ``j`` contributes its (``t``-relabelled,
+    for ``G''_S``) value times ``s_j`` (or 1 past the first ``b``) to host
+    column ``j``, and a supernode-content coordinate ``i`` contributes
+    ``φ_{S_i}`` to the ``S_i`` block of the first ``b`` columns; ``β``
+    places column ``j`` at host weight ``placed_weights(β)[j]``.
+    """
     alpha = find_permutation(guest.shape, factor.rearranged_source)
     beta = find_permutation(factor.host_arrangement, host.shape)
     if alpha is None or beta is None:  # pragma: no cover - factor validity guarantees this
         raise NoReductionError("internal error: invalid general-reduction decomposition")
 
-    guest_is_effectively_mesh = guest.is_mesh or guest.is_hypercube
     relabel_supernodes = False  # G''_S: t applied to the supernode coordinates
-    if guest_is_effectively_mesh:
+    if guest.is_mesh or guest.is_hypercube:
         value_fn: Callable[[GeneralReductionFactor, Sequence[int]], Node] = F_prime_value
-        offset_batch_fn = f_digits
+        sequence = "f"
         strategy = "lowering:β∘F'_S∘α"
         predicted = factor.dilation()
         upper_bound = False
     elif host.is_torus:
         value_fn = G_prime_value
-        offset_batch_fn = g_digits
+        sequence = "g"
         strategy = "lowering:β∘G'_S∘α"
         predicted = factor.dilation()
         upper_bound = False
     else:
         value_fn = G_double_prime_value
-        offset_batch_fn = g_digits
+        sequence = "g"
         relabel_supernodes = True
         strategy = "lowering:β∘G''_S∘α"
         predicted = 2 * factor.dilation()
@@ -288,39 +305,31 @@ def embed_lowering_general(
     if upper_bound:
         notes["dilation_is_upper_bound"] = True
 
-    if use_array_path():
-        digits = digit_table(guest.shape)
-        rearranged = digits[:, list(alpha)]
-        prefix = rearranged[:, : factor.c]  # supernode coordinates L'
-        suffix = rearranged[:, factor.c :]  # supernode contents L''
-        offset = np.concatenate(
-            [
-                offset_batch_fn(group, suffix[:, i])
-                for i, group in enumerate(factor.s_groups)
-            ],
-            axis=1,
-        )
-        if relabel_supernodes:
-            prefix = t_columns(factor.multiplicant, prefix)
+    def tables():
+        arranged = placed_weights(beta, host.shape)
         b = factor.b
-        s = np.asarray(factor.s_flat, dtype=np.int64)
-        arranged = np.concatenate([s * prefix[:, :b] + offset, prefix[:, b:]], axis=1)
-        return Embedding.from_index_array(
-            guest,
-            host,
-            digits_to_indices(arranged[:, list(beta)], host.shape),
-            strategy=strategy,
-            predicted_dilation=predicted,
-            notes=notes,
+        scale = arranged.copy()
+        scale[:b] *= np.asarray(factor.s_flat, dtype=np.int64)
+        prefix = coordinate_tables(
+            factor.multiplicant, scale, relabel=relabel_supernodes
         )
+        rearranged = np.split(prefix, np.cumsum(factor.multiplicant)[:-1])
+        position = 0
+        for group in factor.s_groups:
+            block = arranged[position : position + len(group)]
+            rearranged.append(sequence_table(sequence, group) @ block)
+            position += len(group)
+        result = [None] * len(alpha)
+        for i, source in enumerate(alpha):
+            result[source] = rearranged[i]
+        return np.concatenate(result)
 
-    return Embedding.from_callable(
-        guest,
-        host,
+    return Construction(
+        strategy,
+        predicted,
+        notes,
+        tables,
         lambda node: apply_permutation(beta, value_fn(factor, apply_permutation(alpha, node))),
-        strategy=strategy,
-        predicted_dilation=predicted,
-        notes=notes,
     )
 
 

@@ -23,23 +23,20 @@ here provide:
     embedding hot path.
 ``batch``
     Batch construction kernels: the embedding sequences ``t``/``f``/``g``/
-    ``r``/``h`` and the ``U_V`` collapse evaluated over whole node sets at
-    once — the array-first builders in :mod:`repro.core` are written on top
-    of these.
+    ``r``/``h`` evaluated over whole node sets at once, their memoized
+    tables, and :func:`~repro.numbering.batch.outer_sum` — the array-first
+    builders in :mod:`repro.core` are written on top of these.
 """
 
 from .radix import RadixBase
 from .arrays import digit_weights, digits_to_indices, indices_to_digits
 from .batch import (
     f_digits,
-    f_flat,
     g_digits,
-    g_flat,
-    group_collapse,
     h_digits,
-    h_flat,
+    outer_sum,
     r_digits,
-    t_columns,
+    sequence_table,
     t_indices,
 )
 from .distance import (
@@ -69,15 +66,12 @@ __all__ = [
     "digits_to_indices",
     "indices_to_digits",
     "t_indices",
-    "t_columns",
     "f_digits",
-    "f_flat",
     "g_digits",
-    "g_flat",
     "r_digits",
     "h_digits",
-    "h_flat",
-    "group_collapse",
+    "sequence_table",
+    "outer_sum",
     "mesh_distance",
     "torus_distance",
     "mesh_distance_array",

@@ -1,25 +1,35 @@
 """Batch construction kernels — the paper's sequences over whole node sets.
 
 The scalar functions of :mod:`repro.core.basic` (``t_n``, ``f_L``, ``g_L``,
-``r_L``, ``h_L``) and the mixed-radix collapse ``U_V`` evaluate one node at a
-time; building a survey-scale embedding that way costs one Python call per
-guest node.  Every one of those definitions is plain arithmetic on digit
-vectors (Definitions 7–9, 14–15, 20, 22, 38 of the paper), so this module
-provides them over flat NumPy ``int64`` index arrays — the construction-side
-counterpart of the cost-side kernels in :mod:`repro.numbering.arrays`:
+``r_L``, ``h_L``) evaluate one node at a time; building a survey-scale
+embedding that way costs one Python call per guest node.  Every one of those
+definitions is plain arithmetic on digit vectors (Definitions 7–9, 14–15,
+20, 22 of the paper), so this module provides them over flat NumPy ``int64``
+index arrays — the construction-side counterpart of the cost-side kernels in
+:mod:`repro.numbering.arrays`:
 
 * :func:`t_indices` — ``t_n`` over an index array (Definition 14);
-* :func:`t_columns` — ``T_L``: ``t_{l_j}`` applied to every column of an
-  ``(n, d)`` digit matrix (Definition 35);
 * :func:`f_digits` / :func:`g_digits` / :func:`r_digits` / :func:`h_digits` —
   the embedding sequences as ``(n, d)`` digit matrices;
-* :func:`f_flat` / :func:`g_flat` / :func:`h_flat` — the same sequences as
-  flat natural-order ranks (``u_L^{-1}`` of the digit rows);
-* :func:`group_collapse` — ``U_V``: collapse consecutive column groups of a
-  digit matrix by mixed-radix evaluation (Definition 38).
+* :func:`sequence_table` — one of ``t_n``/``f_L``/``g_L``/``h_L`` over
+  ``0 .. n-1``, memoized read-only by radix base;
+* :func:`placed_weights` / :func:`coordinate_tables` — host digit weights
+  under a coordinate permutation, and the tables of coordinate-wise maps;
+* :func:`outer_sum` — the apply step of a separable construction: the flat
+  host ranks ``Σ_k table_k[x_k]`` over every guest node ``x``.
+
+Every same-size construction of the paper except the square chains is a
+product map: guest coordinate ``x_k`` contributes ``table_k[x_k]`` to the
+host rank, independently of the other coordinates.  The builders of
+:mod:`repro.core` therefore compute one short ``int64`` table per guest
+dimension (a :func:`sequence_table` times host digit weights, which makes
+``T_L`` and the ``U_V`` collapse of Definition 38 per-coordinate scalings),
+keep them concatenated in dimension order ("packed"), and expand them with
+:func:`outer_sum`.
 
 Each kernel is cross-checked element-for-element against its scalar
-counterpart by the differential test harness
+counterpart (``tests/test_numbering_batch.py``), and every construction
+built from them against the per-node builders
 (``tests/test_construction_differential.py``); the scalar loops remain the
 reference implementation.  All kernels assume their index arguments are in
 range (the callers iterate ``0..n-1``); only shapes are validated.
@@ -27,24 +37,25 @@ range (the callers iterate ``0..n-1``); only shapes are validated.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Sequence
 
 import numpy as np
 
 from ..utils.listops import product
-from .arrays import digit_weights, digits_to_indices
+from .arrays import DIGIT_TABLE_RETAIN_NODES, digit_weights
 
 __all__ = [
     "t_indices",
-    "t_columns",
     "f_digits",
-    "f_flat",
     "g_digits",
-    "g_flat",
     "r_digits",
     "h_digits",
-    "h_flat",
-    "group_collapse",
+    "sequence_table",
+    "placed_weights",
+    "coordinate_tables",
+    "outer_sum",
 ]
 
 
@@ -59,20 +70,6 @@ def t_indices(n: int, indices):
         raise ValueError("n must be positive")
     x = np.asarray(indices, dtype=np.int64)
     return np.where(x <= (n - 1) // 2, 2 * x, 2 * (n - x) - 1)
-
-
-def t_columns(shape: Sequence[int], digits):
-    """``T_L`` (Definition 35): apply ``t_{l_j}`` to column ``j`` of a digit matrix."""
-    shape = tuple(shape)
-    digits = np.asarray(digits, dtype=np.int64)
-    if digits.ndim != 2 or digits.shape[1] != len(shape):
-        raise ValueError(
-            f"digit matrix of shape {digits.shape} does not match radix-base {shape}"
-        )
-    out = np.empty_like(digits)
-    for j, length in enumerate(shape):
-        out[:, j] = t_indices(length, digits[:, j])
-    return out
 
 
 def f_digits(shape: Sequence[int], indices):
@@ -93,19 +90,9 @@ def f_digits(shape: Sequence[int], indices):
     return np.where(segment % 2 == 0, natural, radices - 1 - natural)
 
 
-def f_flat(shape: Sequence[int], indices):
-    """``f_L`` as flat natural-order ranks: ``u_L^{-1}(f_L(x))`` per element."""
-    return digits_to_indices(f_digits(shape, indices), shape)
-
-
 def g_digits(shape: Sequence[int], indices):
     """Vectorized ``g_L = f_L ∘ t_n`` (Definition 15) as a digit matrix."""
     return f_digits(shape, t_indices(product(tuple(shape)), indices))
-
-
-def g_flat(shape: Sequence[int], indices):
-    """``g_L`` as flat natural-order ranks."""
-    return digits_to_indices(g_digits(shape, indices), shape)
 
 
 def r_digits(shape: Sequence[int], indices):
@@ -164,31 +151,91 @@ def h_digits(shape: Sequence[int], indices):
     )
 
 
-def h_flat(shape: Sequence[int], indices):
-    """``h_L`` as flat natural-order ranks."""
-    return digits_to_indices(h_digits(shape, indices), shape)
+#: Distinct ``(sequence, radix base)`` keys the :func:`sequence_table` memo
+#: holds.  The exhaustive space up to 64 nodes has 426 shapes.
+SEQUENCE_CACHE_SIZE = 2048
+
+_SEQUENCE_DIGITS = {"f": f_digits, "g": g_digits, "h": h_digits}
 
 
-def group_collapse(digits, groups: Sequence[Sequence[int]]):
-    """Vectorized ``U_V`` (Definition 38): collapse column groups of a digit matrix.
+def _build_sequence_table(name: str, shape):
+    ranks = np.arange(math.prod(shape), dtype=np.int64)
+    if name == "t":
+        (n,) = shape
+        table = t_indices(n, ranks)
+    else:
+        table = _SEQUENCE_DIGITS[name](shape, ranks)
+    table.setflags(write=False)
+    return table
 
-    ``groups`` partitions the columns left to right; output column ``k`` is
-    ``u_{V_k}^{-1}`` of group ``k``'s columns, i.e. the mixed-radix value of
-    that group's digit block.  The result is an ``(n, len(groups))`` matrix of
-    digits for the reduced base ``(Π V_1, ..., Π V_c)``.
+
+_retained_sequence_table = functools.lru_cache(maxsize=SEQUENCE_CACHE_SIZE)(
+    _build_sequence_table
+)
+
+
+def sequence_table(name: str, shape: Sequence[int]):
+    """A whole embedding sequence over ``0 .. n-1``, read-only.
+
+    ``name`` is ``"t"`` (``t_n`` of Definition 14 for ``shape == (n,)``; an
+    ``(n,)`` array) or one of ``"f"``, ``"g"``, ``"h"`` (Definitions 9, 15
+    and 22; an ``(n, d)`` digit matrix of the radix base ``shape``).
+    Memoized by ``(name, tuple(shape))`` up to
+    :data:`~repro.numbering.arrays.DIGIT_TABLE_RETAIN_NODES` nodes, like
+    the digit tables.
     """
-    digits = np.asarray(digits, dtype=np.int64)
-    groups = tuple(tuple(group) for group in groups)
-    expected = sum(len(group) for group in groups)
-    if digits.ndim != 2 or digits.shape[1] != expected:
-        raise ValueError(
-            f"digit matrix has {digits.shape[-1] if digits.ndim else 0} columns "
-            f"but the groups cover {expected}"
-        )
-    columns = []
-    position = 0
-    for group in groups:
-        block = digits[:, position : position + len(group)]
-        columns.append(block @ digit_weights(group))
-        position += len(group)
-    return np.stack(columns, axis=1)
+    shape = tuple(shape)
+    if name not in _SEQUENCE_DIGITS and name != "t":
+        raise ValueError(f"unknown sequence {name!r}: expected 't', 'f', 'g' or 'h'")
+    if math.prod(shape) > DIGIT_TABLE_RETAIN_NODES:
+        return _build_sequence_table(name, shape)
+    return _retained_sequence_table(name, shape)
+
+
+def placed_weights(permutation: Sequence[int], shape: Sequence[int]):
+    """Host digit weight of every source column under a column permutation.
+
+    Host column ``j`` takes source column ``permutation[j]`` (the
+    :func:`~repro.utils.listops.apply_permutation` convention), so source
+    column ``permutation[j]`` carries the weight ``w_j`` of the radix base
+    ``shape``: ``digits[:, permutation] @ digit_weights(shape)`` equals
+    ``digits @ placed_weights(permutation, shape)``.
+    """
+    weights = np.empty(len(permutation), dtype=np.int64)
+    weights[list(permutation)] = digit_weights(shape)
+    return weights
+
+
+def coordinate_tables(lengths: Sequence[int], weights, *, relabel: bool = False):
+    """The per-coordinate host-rank tables of a coordinate-wise map, packed.
+
+    Table ``k`` is ``w_k · s(x)`` for ``x`` in ``0 .. l_k - 1``, where ``s``
+    is ``t_{l_k}`` when ``relabel`` is set (the ``T_L`` relabelling of
+    Definition 35) and the identity otherwise.  The tables are returned
+    concatenated in coordinate order: one ``int64`` array of ``Σ l_k``
+    entries.
+    """
+    if relabel:
+        values = [sequence_table("t", (length,)) for length in lengths]
+    else:
+        values = [np.arange(length, dtype=np.int64) for length in lengths]
+    scale = np.repeat(np.asarray(weights, dtype=np.int64), lengths)
+    return np.concatenate(values) * scale
+
+
+def outer_sum(tables: Sequence):
+    """``out[rank(x)] = Σ_k tables[k][x_k]`` over the C-order grid of the tables.
+
+    ``tables[k]`` has one entry per value of coordinate ``k``; the result is
+    a fresh ``int64`` array of ``Π len(tables[k])`` entries indexed by the
+    natural-order (first coordinate most significant) rank of ``x``.  With
+    ``tables[k]`` holding a separable construction's contribution of guest
+    coordinate ``k`` to the host rank, this is the construction's host-index
+    array.
+    """
+    if not len(tables):
+        raise ValueError("outer_sum needs at least one table")
+    out = np.array(tables[0], dtype=np.int64)
+    for table in tables[1:]:
+        out = np.add.outer(out, table).ravel()
+    return out

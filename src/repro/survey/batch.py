@@ -18,10 +18,16 @@ whole *shard* at once instead:
   per-scenario values.  With congestion requested, which needs one shared
   guest, each signature instead stacks its host-index arrays into a
   ``(batch, size)`` matrix for the fused stacked kernels;
-* the shape-only intermediates underneath — digit weights, all-nodes digit
-  tables (:func:`~repro.numbering.arrays.digit_table`) and expansion factors
-  — are memoized process-wide by shape, so they are computed once per
-  distinct shape rather than once per scenario;
+* construction goes through the shape-keyed plans of
+  :func:`repro.core.plan.plan_for`: the family, factor searches and each
+  kind variant's per-dimension tables are computed once per pair of shapes
+  in the process — shared by the kind combinations of a shape pair, by
+  every shard and by repeated sweeps — and each build is one
+  :func:`~repro.numbering.batch.outer_sum` over those tables;
+* the other shape-only intermediates — digit weights and all-nodes digit
+  tables (:func:`~repro.numbering.arrays.digit_table`) — are memoized
+  process-wide by shape too, so they are computed once per distinct shape
+  rather than once per scenario;
 * simulation scenarios share one memoized traffic pattern per
   ``(pattern, guest signature)`` and one
   :class:`~repro.netsim.network.HostNetwork` per host signature, and all of

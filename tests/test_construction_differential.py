@@ -2,15 +2,17 @@
 
 Every strategy the dispatcher can select — and the strategy-specific builders
 it composes — must produce *node-for-node identical* embeddings whether built
-under ``use_context(backend="array")`` (batch kernels, no per-node Python) or
+under ``use_context(backend="array")`` (plans and tables, no per-node Python) or
 ``use_context(backend="loop")`` (the retained per-node reference).  This is
 the guard that lets the array backend be the default everywhere else.
 
-Fixed pairs cover every strategy family exhaustively; hypothesis pairs sweep
-random same-size shapes through the dispatcher, also asserting that whatever
-``embed`` returns is a valid injection.
+Fixed pairs cover every strategy family exhaustively; every same-size pair up
+to 24 nodes is compared with an empty and with a warm plan memo; hypothesis
+pairs sweep random same-size shapes through the dispatcher, also asserting
+that whatever ``embed`` returns is a valid injection.
 """
 
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,11 +21,17 @@ from repro.core.dispatch import embed, strategy_for
 from repro.core.expansion import ExpansionFactor
 from repro.core.increasing import embed_increasing
 from repro.core.lowering import embed_lowering_general, embed_lowering_simple
-from repro.core.reduction import SimpleReductionFactor, find_general_reduction
+from repro.core.plan import plan_for
+from repro.core.reduction import (
+    SimpleReductionFactor,
+    find_general_reduction,
+    find_simple_reduction,
+)
 from repro.core.square import embed_square, embed_square_increasing
 from repro.exceptions import ShapeMismatchError, UnsupportedEmbeddingError
 from repro.graphs.base import Line, Mesh, Ring, Torus, make_graph
 from repro.runtime import use_context
+from repro.survey.scenarios import all_pairs
 
 from .strategies import graph_kinds, same_size_shape_pairs
 
@@ -104,6 +112,61 @@ def test_dispatch_pairs_cover_every_selectable_family():
         "square-increasing",
         "square-lowering",
     }
+
+
+def _pairs_to_24_nodes():
+    return [
+        (scenario.guest_graph(), scenario.host_graph()) for scenario in all_pairs(24)
+    ]
+
+
+def _embed_or_message(guest, host):
+    try:
+        return embed(guest, host)
+    except UnsupportedEmbeddingError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("memo", ["empty", "warm"])
+def test_every_pair_to_24_nodes_builds_identically(memo):
+    pairs = _pairs_to_24_nodes()
+    plan_for.cache_clear()
+    if memo == "warm":
+        with use_context(backend="array"):
+            for guest, host in pairs:
+                _embed_or_message(guest, host)
+    supported = 0
+    for guest, host in pairs:
+        with use_context(backend="array"):
+            array_embedding = _embed_or_message(guest, host)
+        with use_context(backend="loop"):
+            loop_embedding = _embed_or_message(guest, host)
+        if isinstance(array_embedding, str):
+            assert loop_embedding == array_embedding, (guest, host)
+            continue
+        assert_constructions_agree(array_embedding, loop_embedding)
+        supported += 1
+    assert len(pairs) == 2794 and supported == 2394
+
+
+def test_ablation_entry_points_agree_with_the_loop_reference():
+    # The explicit-factor builders bypass the plan memo: the plain dilation-2
+    # factor search of Theorem 32 and the adversarial Theorem 39 ordering.
+    checked = set()
+    for guest, host in _pairs_to_24_nodes():
+        family = strategy_for(guest, host)
+        if family == "increasing":
+            build = partial(embed_increasing, guest, host, prefer_unit_dilation=False)
+        elif family == "lowering-simple":
+            simple = find_simple_reduction(guest.shape, host.shape)
+            build = partial(
+                embed_lowering_simple, guest, host, simple.sorted_non_decreasing()
+            )
+        else:
+            continue
+        assert_constructions_agree(*both_backends(build))
+        checked.add(family)
+    assert checked == {"increasing", "lowering-simple"}
 
 
 def test_lowering_general_builders_agree_directly():

@@ -2,8 +2,10 @@
 
 Every kernel in :mod:`repro.numbering.batch` is checked element-for-element
 against its scalar reference in :mod:`repro.core.basic` /
-:mod:`repro.core.lowering` — exhaustively on fixed shapes and on random
-shapes via hypothesis.
+:mod:`repro.core.same_shape` / :mod:`repro.core.lowering` — exhaustively on
+fixed shapes and on random shapes via hypothesis.  The separable tables are
+checked through :func:`~repro.numbering.batch.outer_sum`: ``T_L`` and the
+``U_V`` collapse must give the ranks of the scalar maps.
 """
 
 import math
@@ -13,20 +15,21 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.basic import f_value, g_value, h_value, r_value, t_value
-from repro.core.lowering import U_value
+from repro.core.embedding import Embedding
+from repro.core.lowering import U_value, lowering_simple_construction
 from repro.core.reduction import SimpleReductionFactor
 from repro.core.same_shape import t_vector_value
-from repro.numbering.arrays import digits_to_indices, indices_to_digits
+from repro.graphs.base import Mesh
+from repro.numbering.arrays import digit_weights, digits_to_indices
 from repro.numbering.batch import (
+    coordinate_tables,
     f_digits,
-    f_flat,
     g_digits,
-    g_flat,
-    group_collapse,
     h_digits,
-    h_flat,
+    outer_sum,
+    placed_weights,
     r_digits,
-    t_columns,
+    sequence_table,
     t_indices,
 )
 
@@ -57,7 +60,7 @@ def test_f_digits_matches_f_value(shape):
     n = math.prod(shape)
     got = f_digits(shape, np.arange(n))
     assert got.tolist() == [list(f_value(shape, x)) for x in range(n)]
-    assert f_flat(shape, np.arange(n)).tolist() == digits_to_indices(got, shape).tolist()
+    assert np.array_equal(sequence_table("f", shape), got)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -66,8 +69,8 @@ def test_g_digits_matches_g_value(shape):
     assert g_digits(shape, np.arange(n)).tolist() == [
         list(g_value(shape, x)) for x in range(n)
     ]
-    assert g_flat(shape, np.arange(n)).tolist() == [
-        digits_to_indices(np.asarray([g_value(shape, x)]), shape)[0] for x in range(n)
+    assert sequence_table("g", shape).tolist() == [
+        list(g_value(shape, x)) for x in range(n)
     ]
 
 
@@ -85,30 +88,52 @@ def test_h_digits_matches_h_value(shape):
     assert h_digits(shape, np.arange(n)).tolist() == [
         list(h_value(shape, x)) for x in range(n)
     ]
-    assert h_flat(shape, np.arange(n)).dtype == np.int64
+    assert sequence_table("h", shape).dtype == np.int64
+
+
+def _ranks(nodes, shape):
+    return digits_to_indices(np.asarray(nodes, dtype=np.int64), shape).tolist()
+
+
+def _outer_sum_of_packed(packed, shape):
+    starts = np.cumsum((0,) + tuple(shape))
+    return outer_sum([packed[a:b] for a, b in zip(starts, starts[1:])]).tolist()
 
 
 @pytest.mark.parametrize("shape", [s for s in SHAPES if len(s) >= 2])
-def test_t_columns_matches_t_vector_value(shape):
-    n = math.prod(shape)
-    digits = indices_to_digits(np.arange(n), shape)
-    assert t_columns(shape, digits).tolist() == [
-        list(t_vector_value(shape, tuple(row))) for row in digits.tolist()
-    ]
+def test_coordinate_tables_match_t_vector_value(shape):
+    nodes = list(np.ndindex(*shape))  # natural order
+    relabelled = coordinate_tables(shape, digit_weights(shape), relabel=True)
+    assert _outer_sum_of_packed(relabelled, shape) == _ranks(
+        [t_vector_value(shape, node) for node in nodes], shape
+    )
+    identity = coordinate_tables(shape, digit_weights(shape))
+    assert _outer_sum_of_packed(identity, shape) == list(range(math.prod(shape)))
+
+
+@pytest.mark.parametrize("permutation", [(1, 0, 2), (2, 0, 1), (0, 1, 2)])
+def test_placed_weights_match_column_permutation(permutation):
+    shape = (2, 3, 4)
+    target = tuple(shape[p] for p in permutation)
+    digits = np.asarray(list(np.ndindex(*shape)), dtype=np.int64)
+    expected = digits_to_indices(digits[:, list(permutation)], target)
+    assert np.array_equal(digits @ placed_weights(permutation, target), expected)
 
 
 @pytest.mark.parametrize(
     "groups",
     [((4, 2), (3, 3)), ((2, 2, 2), (5,)), ((6,), (2, 2)), ((3,), (3,), (3,))],
 )
-def test_group_collapse_matches_U_value(groups):
+def test_lowering_tables_match_U_value(groups):
     factor = SimpleReductionFactor(tuple(groups))
     shape = factor.flattened
-    n = math.prod(shape)
-    digits = indices_to_digits(np.arange(n), shape)
-    assert group_collapse(digits, groups).tolist() == [
-        list(U_value(factor, tuple(row))) for row in digits.tolist()
-    ]
+    guest, host = Mesh(shape), Mesh(factor.host_shape)
+    construction = lowering_simple_construction(guest, host, factor)
+    embedding = Embedding.from_tables(guest, host, construction.tables())
+    nodes = list(np.ndindex(*shape))
+    assert embedding.host_index_array().tolist() == _ranks(
+        [U_value(factor, node) for node in nodes], factor.host_shape
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,19 +149,19 @@ def test_batch_sequences_match_scalar_on_random_shapes(shape):
 @settings(max_examples=40, deadline=None)
 @given(shape=small_shapes())
 def test_batch_sequences_are_permutations(shape):
-    """Every kernel output is a bijection of [n] — the injectivity invariant."""
+    """Every sequence table is a bijection of [n] — the injectivity invariant."""
     n = math.prod(shape)
-    x = np.arange(n)
-    for flat in (f_flat(shape, x), g_flat(shape, x), h_flat(shape, x)):
-        assert sorted(flat.tolist()) == list(range(n))
+    for name in ("f", "g", "h"):
+        ranks = sequence_table(name, shape) @ digit_weights(shape)
+        assert sorted(ranks.tolist()) == list(range(n))
 
 
 def test_kernel_shape_validation():
     with pytest.raises(ValueError):
         r_digits((2, 2, 2), np.arange(8))
     with pytest.raises(ValueError):
-        t_columns((2, 2), np.zeros((4, 3), dtype=np.int64))
+        sequence_table("r", (2, 2))
     with pytest.raises(ValueError):
-        group_collapse(np.zeros((4, 3), dtype=np.int64), ((2, 2),))
+        outer_sum([])
     with pytest.raises(ValueError):
         t_indices(0, np.arange(1))

@@ -1,10 +1,12 @@
 """Shape-keyed memos: read-only, bounded, and equal to the uncached values.
 
-Digit weights, all-nodes digit tables and expansion factors depend on
-shapes alone, so they are memoized process-wide.  Callers share the cached
-objects, so the arrays must refuse writes; every memo must be bounded; huge
-digit tables must not be retained; and a cached expansion factor must be the
-one the uncached search finds.
+Digit weights, all-nodes digit tables, embedding sequence tables, expansion
+factors and construction plans depend on shapes alone, so they are memoized
+process-wide.  Callers share the cached objects, so the arrays must refuse
+writes and what ``embed`` returns must not alias them; every memo must be
+bounded; huge digit tables must not be retained; a cached expansion factor
+must be the one the uncached search finds; and one plan must serve every
+kind combination of its shape pair.
 """
 
 import importlib
@@ -17,7 +19,10 @@ import pytest
 
 import repro
 from repro.core import expansion
+from repro.core.dispatch import embed
 from repro.core.expansion import find_expansion_factor, iter_expansion_factors
+from repro.core.plan import plan_for
+from repro.graphs.base import make_graph
 from repro.numbering import arrays
 from repro.numbering.arrays import (
     DIGIT_TABLE_RETAIN_NODES,
@@ -26,6 +31,7 @@ from repro.numbering.arrays import (
     indices_to_digits,
     rank_digits,
 )
+from repro.numbering.batch import sequence_table
 from repro.survey.scenarios import all_pairs
 
 
@@ -54,6 +60,70 @@ class TestReadOnly:
             table[0, 0] = 7
         assert digit_table(list(shape)) is table
 
+    @pytest.mark.parametrize(
+        "name,shape", [("t", (5,)), ("f", (4, 2, 3)), ("g", (3, 3)), ("h", (2, 3, 2))]
+    )
+    def test_writes_into_sequence_tables_raise(self, name, shape):
+        table = sequence_table(name, shape)
+        with pytest.raises(ValueError):
+            table[0] = 7
+        assert sequence_table(name, list(shape)) is table
+
+    @pytest.mark.parametrize(
+        "guest_shape,host_shape",
+        [
+            ((4, 6), (4, 6)),
+            ((3, 4), (4, 3)),
+            ((24,), (4, 2, 3)),
+            ((4, 6), (2, 2, 2, 3)),
+            ((4, 2, 3, 3), (8, 9)),
+            ((3, 3, 4), (6, 6)),
+        ],
+    )
+    def test_writes_into_plan_tables_raise(self, guest_shape, host_shape):
+        for guest_kind in ("mesh", "torus"):
+            for host_kind in ("mesh", "torus"):
+                guest = make_graph(guest_kind, guest_shape)
+                embed(guest, make_graph(host_kind, host_shape))
+        variants = plan_for(guest_shape, host_shape).variants
+        assert all(variant is not None for variant in variants)
+        for _, _, _, packed in variants:
+            assert packed.size == sum(guest_shape)
+            with pytest.raises(ValueError):
+                packed[0] = 7
+
+
+class TestPlanMemo:
+    def test_one_plan_serves_all_four_kind_combinations(self):
+        plan_for.cache_clear()
+        for guest_kind in ("mesh", "torus"):
+            for host_kind in ("mesh", "torus"):
+                guest = make_graph(guest_kind, (4, 6))
+                embed(guest, make_graph(host_kind, (2, 2, 2, 3)))
+        info = plan_for.cache_info()
+        assert (info.hits, info.misses) == (3, 1)
+
+    @pytest.mark.parametrize(
+        "guest,host",
+        [
+            (("torus", (4, 6)), ("mesh", (2, 2, 2, 3))),
+            (("torus", (3, 4)), ("mesh", (4, 3))),
+            (("torus", (24,)), ("mesh", (4, 2, 3))),
+            (("torus", (3, 3, 4)), ("mesh", (6, 6))),
+        ],
+    )
+    def test_mutating_a_returned_embedding_leaves_the_next_one_alone(self, guest, host):
+        guest, host = make_graph(*guest), make_graph(*host)
+        first = embed(guest, host)
+        notes = dict(first.notes)
+        images = first.host_index_array().copy()
+        first.notes.clear()
+        first.notes["tampered"] = True
+        first.host_index_array()[:] = 0
+        second = embed(guest, host)
+        assert second.notes == notes
+        assert np.array_equal(second.host_index_array(), images)
+
 
 class TestBounded:
     def test_every_lru_cache_in_the_package_is_bounded(self):
@@ -66,7 +136,13 @@ class TestBounded:
                 if callable(value) and hasattr(value, "cache_info"):
                     caches.append((module_info.name, name, value))
         names = {name for _, name, _ in caches}
-        memos = {"_weights_of", "_retained_digit_table", "_first_expansion_factor"}
+        memos = {
+            "_weights_of",
+            "_retained_digit_table",
+            "_retained_sequence_table",
+            "_first_expansion_factor",
+            "plan_for",
+        }
         assert memos <= names
         for module_name, name, cache in caches:
             assert cache.cache_info().maxsize is not None, f"{module_name}.{name}"
